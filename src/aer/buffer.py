@@ -187,15 +187,16 @@ def abs_select(buffer, current_task, rng, model=None):
     return int(idx[rng.choice(len(idx), p=probs)])
 
 
-def _draw_slot(buffer, selector, current_task, rng, available, p_current):
-    size = buffer.size
-    losses = buffer.losses[:size]
+def _draw_slot(buffer, selector, rng, available, current, p_current):
+    """One victim slot among ``available``; ``current`` marks the current
+    task's entries and ``p_current`` is their share (ABS only)."""
+    losses = buffer.losses[:buffer.size]
     if selector == "lass":
         idx = np.flatnonzero(available)
         probs = _score_probabilities(losses[idx])
     elif selector == "abs":
-        cur_avail = (buffer.task_ids[:size] == current_task) & available
-        past_avail = (buffer.task_ids[:size] != current_task) & available
+        cur_avail = current & available
+        past_avail = ~current & available
         pick_current = rng.random() < p_current
         if pick_current and cur_avail.any():
             part, is_cur = cur_avail, True
@@ -225,7 +226,7 @@ def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
     call start.
     """
     n = len(features)
-    p_current = None
+    current = p_current = None
     replaced = []
     overflow = 0
     for i in range(n):
@@ -236,14 +237,17 @@ def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
             slot = replaced[overflow % buffer.capacity]
             overflow += 1
         else:
-            if selector == "abs" and p_current is None:
+            if selector == "abs" and current is None:
                 # frozen at the first replacement of this batch step, i.e.
-                # before any slot of the full buffer has been overwritten
-                p_current = (buffer.task_ids[:buffer.size] == current_task).sum() / buffer.size
+                # before any slot of the full buffer has been overwritten;
+                # overwritten slots leave ``available``, so their new task
+                # ids never reach a draw
+                current = buffer.task_ids[:buffer.size] == current_task
+                p_current = current.sum() / buffer.size
             available = np.ones(buffer.size, dtype=bool)
             if replaced:
                 available[replaced] = False
-            slot = _draw_slot(buffer, selector, current_task, rng, available,
+            slot = _draw_slot(buffer, selector, rng, available, current,
                               p_current)
             replaced.append(slot)
         buffer.overwrite(slot, features[i], labels[i], true_labels[i],

@@ -95,6 +95,8 @@ class RunConfig:
             bad("dataset.kind", f"must be synthetic|csv, got {self.dataset_kind!r}")
         if self.dataset_kind == "csv" and not self.dataset_path:
             bad("dataset.path", "required when dataset.kind = csv")
+        if self.tasks < 1:
+            bad("dataset.tasks", f"must be >= 1, got {self.tasks}")
         if self.dataset_kind == "synthetic":
             if self.classes < 2:
                 bad("dataset.classes", f"must be >= 2, got {self.classes}")
@@ -107,8 +109,6 @@ class RunConfig:
             if self.classes % self.tasks:
                 bad("dataset.tasks",
                     f"{self.classes} classes not divisible by {self.tasks} tasks")
-        if self.tasks < 1:
-            bad("dataset.tasks", f"must be >= 1, got {self.tasks}")
         if not 0 < self.test_fraction < 1:
             bad("dataset.test_fraction", f"must be in (0, 1), got {self.test_fraction}")
         if self.noise_kind not in ("symmetric", "asymmetric"):

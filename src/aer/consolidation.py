@@ -232,8 +232,7 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
         for start in range(0, len(order), batch):
             lsel = order[start:start + batch]
             if uorder is not None and len(uorder):
-                usel = np.array([uorder[(upos + i) % len(uorder)]
-                                 for i in range(len(lsel))])
+                usel = uorder[(upos + np.arange(len(lsel))) % len(uorder)]
                 upos += len(lsel)
                 allx = np.vstack([x[lsel], x[usel]])
                 allt = np.vstack([targets[lsel], targets[usel]])

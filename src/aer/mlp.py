@@ -67,26 +67,29 @@ class MLP:
         return len(self.weights)
 
     def forward(self, features, cache=False):
-        """Compute logits for a batch; optionally return the backprop cache."""
+        """Compute logits for a batch; optionally return the backprop cache.
+
+        The cache is the list of each layer's input: the features, then the
+        post-ReLU activations. ``backward`` derives the ReLU masks from it.
+        Bias and ReLU are applied in place on the matmul output, and a NaN
+        pre-activation survives the ReLU, so it reaches the finiteness check.
+        """
         a = np.asarray(features, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.in_dim:
             raise InputError(
                 f"expected features of shape (n, {self.in_dim}), got {a.shape}")
         inputs = []
-        relu_masks = []
+        last = self.num_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
-            z = a @ w + b
-            if i < self.num_layers - 1:
-                mask = z > 0
-                relu_masks.append(mask)
-                a = np.where(mask, z, 0.0)
-            else:
-                a = z
-        if not np.all(np.isfinite(a)):
+            a = a @ w
+            a += b
+            if i < last:
+                np.maximum(a, 0.0, out=a)
+        if not np.isfinite(a).all():
             raise NumericalError("non-finite logits in forward pass")
         if cache:
-            return a, (inputs, relu_masks)
+            return a, inputs
         return a
 
     def penultimate(self, features):
@@ -102,32 +105,42 @@ class MLP:
     def backward(self, cache, dlogits):
         """Backpropagate d(loss)/d(logits) into a flat parameter-gradient list.
 
-        Returns ``[dW0, db0, dW1, db1, ...]`` matching the layer order.
+        ``cache`` is the list of layer inputs from ``forward(..., cache=True)``.
+        The ReLU mask of hidden layer i - 1 is ``inputs[i] > 0``, which equals
+        its pre-activation ``z > 0`` for every non-NaN ``z``. Returns
+        ``[dW0, db0, dW1, db1, ...]`` matching the layer order.
         """
-        inputs, relu_masks = cache
+        inputs = cache
         grads = [None] * (2 * self.num_layers)
         delta = np.asarray(dlogits, dtype=np.float64)
         for i in reversed(range(self.num_layers)):
             grads[2 * i] = inputs[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights[i].T) * relu_masks[i - 1]
+                delta = delta @ self.weights[i].T
+                delta *= inputs[i] > 0
         return grads
 
     def apply_step(self, grads, lr=None):
-        """SGD update from a flat gradient list; mean reduction is the caller's."""
+        """SGD update from a flat gradient list; mean reduction is the caller's.
+
+        Momentum buffers are updated in place (``v *= momentum; v += g``).
+        """
         step = self.lr if lr is None else float(lr)
         for g in grads:
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericalError(
                     f"non-finite gradient (max abs {np.max(np.abs(g))!r})")
         for i in range(self.num_layers):
-            self.velocity_w[i] = self.momentum * self.velocity_w[i] + grads[2 * i]
-            self.velocity_b[i] = self.momentum * self.velocity_b[i] + grads[2 * i + 1]
-            self.weights[i] -= step * self.velocity_w[i]
-            self.biases[i] -= step * self.velocity_b[i]
+            vw, vb = self.velocity_w[i], self.velocity_b[i]
+            vw *= self.momentum
+            vw += grads[2 * i]
+            vb *= self.momentum
+            vb += grads[2 * i + 1]
+            self.weights[i] -= step * vw
+            self.biases[i] -= step * vb
         for w in self.weights:
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(w).all():
                 raise NumericalError("non-finite parameters after SGD step")
 
     def train_step(self, features, labels, class_mask=None, lr=None):

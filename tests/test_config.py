@@ -59,6 +59,8 @@ def test_validation_messages_name_the_field():
         RunConfig(alpha=120).validate()
     with pytest.raises(ConfigError, match="dataset.tasks"):
         RunConfig(classes=10, tasks=3).validate()
+    with pytest.raises(ConfigError, match="dataset.tasks"):
+        RunConfig(classes=10, tasks=0).validate()
     with pytest.raises(ConfigError, match="noise.rate"):
         RunConfig(noise_rate=1.5).validate()
     with pytest.raises(ConfigError, match="run.method"):

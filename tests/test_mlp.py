@@ -236,3 +236,73 @@ def test_nonfinite_gradient_raises_numerical_error():
         bad.append(np.zeros_like(m.biases[i]))
     with pytest.raises(NumericalError):
         m.apply_step(bad)
+
+
+def test_nan_feature_reaches_the_logits_guard():
+    m = small_model()
+    x = np.zeros((2, 3))
+    x[1, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite logits"):
+        m.forward(x)
+
+
+class ReferenceMLP(MLP):
+    """The out-of-place formulas the in-place kernels must match bit for bit:
+    ``np.where`` ReLU, stored masks and a freshly allocated momentum buffer."""
+
+    def forward(self, features, cache=False):
+        a = np.asarray(features, dtype=np.float64)
+        inputs, relu_masks = [], []
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            inputs.append(a)
+            z = a @ w + b
+            if i < self.num_layers - 1:
+                mask = z > 0
+                relu_masks.append(mask)
+                a = np.where(mask, z, 0.0)
+            else:
+                a = z
+        if not np.all(np.isfinite(a)):
+            raise NumericalError("non-finite logits in forward pass")
+        return (a, (inputs, relu_masks)) if cache else a
+
+    def backward(self, cache, dlogits):
+        inputs, relu_masks = cache
+        grads = [None] * (2 * self.num_layers)
+        delta = np.asarray(dlogits, dtype=np.float64)
+        for i in reversed(range(self.num_layers)):
+            grads[2 * i] = inputs[i].T @ delta
+            grads[2 * i + 1] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * relu_masks[i - 1]
+        return grads
+
+    def apply_step(self, grads, lr=None):
+        step = self.lr if lr is None else float(lr)
+        for i in range(self.num_layers):
+            self.velocity_w[i] = self.momentum * self.velocity_w[i] + grads[2 * i]
+            self.velocity_b[i] = self.momentum * self.velocity_b[i] + grads[2 * i + 1]
+            self.weights[i] -= step * self.velocity_w[i]
+            self.biases[i] -= step * self.velocity_b[i]
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("n", [1, 32, 500])
+def test_train_steps_are_byte_identical_to_reference(n, momentum):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 6))
+    x[::3] = 0.0  # rows whose pre-activations equal the biases, exactly 0 at init
+    labels = rng.integers(0, 5, size=n)
+    masked_labels = labels % 3
+    models = [cls(6, 5, hidden=(16, 8), lr=0.05, momentum=momentum, seed=n)
+              for cls in (MLP, ReferenceMLP)]
+    for m in models:
+        m.weights[0][:, 0] = 0.0  # a unit whose pre-activation stays exactly 0
+    for step in range(6):
+        if step % 2:
+            args = (x, masked_labels, {0, 1, 2}, 0.02)
+        else:
+            args = (x, labels, None, None)
+        fast, ref = (m.train_step(*args) for m in models)
+        assert fast.tobytes() == ref.tobytes()
+        assert save_checkpoint(models[0]).data == save_checkpoint(models[1]).data
