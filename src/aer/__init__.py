@@ -10,12 +10,11 @@ __version__ = "0.1.0"
 from .buffer import (MemoryBuffer, abs_select, diversity, insertion_candidates,
                      lass_scores, purity, replace_with_candidates,
                      reservoir_update)
-from .config import RunConfig, config_hash, load_config
+from .config import PRESETS, MethodSpec, RunConfig, config_hash, load_config
 from .consolidation import (buffer_fit, corefine_labels, fit_gmm_em,
                             mixmatch_consolidate, sharpen, split_pure_uncertain)
-from .engine import (MethodSpec, PRESETS, RunRecord, alternation_schedule,
-                     replay_batch, resolve_method, run_seeds, run_single,
-                     train_reference, train_task)
+from .engine import (RunRecord, alternation_schedule, replay_batch,
+                     resolve_method, run_single, train_reference, train_task)
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .metrics import (AccuracyMatrix, aggregate_seeds, faa, final_forgetting,
                       separation_trace)

@@ -147,12 +147,10 @@ def _score_probabilities(scores):
     return scores / total
 
 
-def lass_scores(buffer, model=None):
+def lass_scores(buffer):
     """Loss-proportional replacement distribution over all entries."""
     if len(buffer) == 0:
         raise InputError("buffer is empty")
-    if model is not None:
-        buffer.refresh_losses(model)
     return _score_probabilities(buffer.losses[:buffer.size])
 
 
@@ -163,7 +161,7 @@ def _abs_partition_probs(losses, is_current):
     return _score_probabilities(losses.max() - losses)
 
 
-def abs_select(buffer, current_task, rng, model=None):
+def abs_select(buffer, current_task, rng):
     """Draw one entry index to replace under asymmetric balanced sampling.
 
     The partition (current vs past task) is chosen by a Bernoulli draw with
@@ -173,18 +171,9 @@ def abs_select(buffer, current_task, rng, model=None):
     """
     if len(buffer) == 0:
         raise InputError("buffer is empty")
-    if model is not None:
-        buffer.refresh_losses(model)
-    size = buffer.size
-    cur_mask = buffer.task_ids[:size] == current_task
-    p_current = cur_mask.sum() / size
-    pick_current = rng.random() < p_current
-    part = cur_mask if pick_current else ~cur_mask
-    if not part.any():
-        part = ~part
-    idx = np.flatnonzero(part)
-    probs = _abs_partition_probs(buffer.losses[:size][idx], is_current=bool(cur_mask[idx[0]]))
-    return int(idx[rng.choice(len(idx), p=probs)])
+    current = buffer.task_ids[:buffer.size] == current_task
+    return _draw_slot(buffer, "abs", rng, np.ones(buffer.size, dtype=bool),
+                      current, current.sum() / buffer.size)
 
 
 def _draw_slot(buffer, selector, rng, available, current, p_current):
@@ -195,17 +184,11 @@ def _draw_slot(buffer, selector, rng, available, current, p_current):
         idx = np.flatnonzero(available)
         probs = _score_probabilities(losses[idx])
     elif selector == "abs":
-        cur_avail = current & available
-        past_avail = ~current & available
-        pick_current = rng.random() < p_current
-        if pick_current and cur_avail.any():
-            part, is_cur = cur_avail, True
-        elif not pick_current and past_avail.any():
-            part, is_cur = past_avail, False
-        elif cur_avail.any():
-            part, is_cur = cur_avail, True
-        else:
-            part, is_cur = past_avail, False
+        is_cur = rng.random() < p_current
+        part = available & (current if is_cur else ~current)
+        if not part.any():
+            # the chosen partition has no available entry: draw from the other
+            is_cur, part = not is_cur, available
         idx = np.flatnonzero(part)
         probs = _abs_partition_probs(losses[idx], is_cur)
     else:

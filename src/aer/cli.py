@@ -15,8 +15,8 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .config import config_hash, load_config
-from .engine import MethodSpec, PRESETS, resolve_method, run_single, train_reference
+from .config import PRESETS, MethodSpec, config_hash, load_config
+from .engine import resolve_method, run_single, train_reference
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .metrics import aggregate_seeds, write_summary_csv, write_trace_csv, write_trace_jsonl
 
@@ -118,7 +118,7 @@ def _run_variants(cfg, variants, out_dir):
         agg = aggregate_seeds(records)
         rows.append({
             "label": label,
-            "method": spec.label if spec else vcfg.method,
+            "method": spec.label,
             "noise_kind": vcfg.noise_kind,
             "noise_rate": vcfg.noise_rate,
             "alpha": vcfg.alpha,
@@ -157,22 +157,13 @@ def _print_rows(rows):
               f"{cell(row['diversity_mean'], 10)}")
 
 
-def cmd_run(args):
-    cfg = load_config(args.config)
-    if args.seeds:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds)).validate()
-    out_dir = _resolve_out_dir(args.out, cfg, "run")
-    rows = _run_variants(cfg, [(cfg.method, cfg, resolve_method(cfg.method))],
-                         out_dir)
-    _print_rows(rows)
-    print(f"artifacts written to {out_dir}")
-    return 0
-
-
-def cmd_sweep_alpha(args):
-    cfg = load_config(args.config)
-    if args.seeds:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds)).validate()
+def _variants(args, cfg):
+    """The (label, cfg, spec) list the command runs."""
+    if args.command == "ablate":
+        return [(label, cfg, spec) for label, spec in ABLATION_VARIANTS]
+    spec = resolve_method(cfg.method)
+    if args.command == "run":
+        return [(cfg.method, cfg, spec)]
     try:
         alphas = [float(a) for a in args.alphas.replace(" ", "").split(",") if a]
     except ValueError:
@@ -182,24 +173,18 @@ def cmd_sweep_alpha(args):
     for a in alphas:
         if not 0 <= a <= 100:
             raise ConfigError(f"--alphas: {a} outside [0, 100]")
-    spec = resolve_method(cfg.method)
-    variants = []
-    for a in alphas:
-        vcfg = dataclasses.replace(cfg, alpha=a).validate()
-        variants.append((f"alpha={a:g}", vcfg, spec))
-    out_dir = _resolve_out_dir(args.out, cfg, "sweep-alpha")
-    rows = _run_variants(cfg, variants, out_dir)
-    _print_rows(rows)
-    print(f"artifacts written to {out_dir}")
-    return 0
+    return [(f"alpha={a:g}", dataclasses.replace(cfg, alpha=a).validate(), spec)
+            for a in alphas]
 
 
-def cmd_ablate(args):
+def run_command(args):
+    """Load the config, apply ``--seeds``, run the command's variants and
+    print their summary rows."""
     cfg = load_config(args.config)
     if args.seeds:
         cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds)).validate()
-    variants = [(label, cfg, spec) for label, spec in ABLATION_VARIANTS]
-    out_dir = _resolve_out_dir(args.out, cfg, "ablate")
+    variants = _variants(args, cfg)
+    out_dir = _resolve_out_dir(args.out, cfg, args.command)
     rows = _run_variants(cfg, variants, out_dir)
     _print_rows(rows)
     print(f"artifacts written to {out_dir}")
@@ -209,9 +194,8 @@ def cmd_ablate(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": cmd_run, "sweep-alpha": cmd_sweep_alpha, "ablate": cmd_ablate}
     try:
-        return handlers[args.command](args)
+        return run_command(args)
     except (ConfigError, InputError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Run configuration: defaults, INI parsing, validation and manifest hashing.
+"""Run configuration: method registry, defaults, INI parsing, validation
+and manifest hashing.
 
 The config file is a flat INI document with one section per concern
 (``run``, ``dataset``, ``noise``, ``consolidation``); every omitted key
@@ -14,9 +15,48 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-METHODS = ("finetune", "joint", "er", "er_ace", "gdumb",
-           "aer_abs", "aer_lass", "er_ace_abs")
 CONSOLIDATION_MODES = ("none", "buffer_fit", "mixmatch")
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Feature flags that compose a training method.
+
+    ``ace`` masks the stream loss to current-task classes and the replay
+    loss to all seen classes; ``alpha_gate`` keeps only the lowest-loss
+    slice of each batch as insertion candidates; ``alternate`` enables the
+    learning/forgetting schedule with checkpointing; ``selector`` picks how
+    victims are chosen once the buffer is full.
+    """
+    label: str
+    uses_buffer: bool = True
+    ace: bool = False
+    alpha_gate: bool = False
+    alternate: bool = False
+    selector: str = "reservoir"
+    joint: bool = False
+    gdumb: bool = False
+
+    @property
+    def consolidates(self):
+        """Whether end-of-task consolidation has a rehearsal buffer to refit;
+        GDumb's buffer only feeds its own per-task fit."""
+        return self.uses_buffer and not self.gdumb
+
+
+PRESETS = {
+    "finetune": MethodSpec("finetune", uses_buffer=False),
+    "joint": MethodSpec("joint", uses_buffer=False, joint=True),
+    "er": MethodSpec("er"),
+    "er_ace": MethodSpec("er_ace", ace=True),
+    "gdumb": MethodSpec("gdumb", gdumb=True),
+    "aer_abs": MethodSpec("aer_abs", ace=True, alpha_gate=True, alternate=True,
+                          selector="abs"),
+    "aer_lass": MethodSpec("aer_lass", ace=True, alpha_gate=True, alternate=True,
+                           selector="lass"),
+    "er_ace_abs": MethodSpec("er_ace_abs", ace=True, alpha_gate=True,
+                             selector="abs"),
+}
 
 
 @dataclass
@@ -69,8 +109,8 @@ class RunConfig:
         def bad(field, msg):
             raise ConfigError(f"{field}: {msg}")
 
-        if self.method not in METHODS:
-            bad("run.method", f"must be one of {', '.join(METHODS)}, got {self.method!r}")
+        if self.method not in PRESETS:
+            bad("run.method", f"must be one of {', '.join(PRESETS)}, got {self.method!r}")
         if self.lr <= 0:
             bad("run.lr", f"must be > 0, got {self.lr}")
         if self.momentum < 0 or self.momentum >= 1:
@@ -88,7 +128,7 @@ class RunConfig:
         if self.consolidation not in CONSOLIDATION_MODES:
             bad("run.consolidation",
                 f"must be one of {', '.join(CONSOLIDATION_MODES)}, got {self.consolidation!r}")
-        if self.consolidation != "none" and self.method in ("finetune", "joint", "gdumb"):
+        if self.consolidation != "none" and not PRESETS[self.method].consolidates:
             bad("run.consolidation",
                 f"{self.method} has no rehearsal buffer to consolidate")
         if self.dataset_kind not in ("synthetic", "csv"):
@@ -111,6 +151,11 @@ class RunConfig:
                     f"{self.classes} classes not divisible by {self.tasks} tasks")
         if not 0 < self.test_fraction < 1:
             bad("dataset.test_fraction", f"must be in (0, 1), got {self.test_fraction}")
+        if (self.dataset_kind == "synthetic"
+                and int(self.test_fraction * self.per_class) < 1):
+            bad("dataset.test_fraction",
+                f"{self.test_fraction} of {self.per_class} examples per class "
+                "leaves no test example")
         if self.noise_kind not in ("symmetric", "asymmetric"):
             bad("noise.kind", f"must be symmetric|asymmetric, got {self.noise_kind!r}")
         if not 0 <= self.noise_rate <= 1:

@@ -171,6 +171,16 @@ def _buffer_accuracy(model, buffer):
     }
 
 
+def _fallback_fit(model, buffer, cfg, rng, report, reason):
+    """Consolidate with ``buffer_fit`` when no mixture split is usable."""
+    warnings.warn(f"{reason}; falling back to buffer_fit")
+    buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
+               cfg.consolidation_batch, rng)
+    report["fallback"] = "buffer_fit"
+    report["post"] = _buffer_accuracy(model, buffer)
+    return report
+
+
 def mixmatch_consolidate(model, buffer, cfg, rng=None):
     """Semi-supervised consolidation on the buffer; returns a report dict.
 
@@ -191,12 +201,8 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     y = buffer.labels[:buffer.size].copy()
     c = model.num_classes
     if buffer.size < 4:
-        warnings.warn("buffer too small for a mixture fit; falling back to buffer_fit")
-        buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
-                   cfg.consolidation_batch, rng)
-        report["fallback"] = "buffer_fit"
-        report["post"] = _buffer_accuracy(model, buffer)
-        return report
+        return _fallback_fit(model, buffer, cfg, rng, report,
+                             "buffer too small for a mixture fit")
     losses = per_sample_ce(model.forward(x), y)
     fit = fit_gmm_em(losses)
     pure, uncertain = split_pure_uncertain(fit, cfg.gmm_threshold)
@@ -208,12 +214,7 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     report["n_pure"] = int(len(pure))
     report["n_uncertain"] = int(len(uncertain))
     if len(pure) == 0:
-        warnings.warn("empty pure set; falling back to buffer_fit")
-        buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
-                   cfg.consolidation_batch, rng)
-        report["fallback"] = "buffer_fit"
-        report["post"] = _buffer_accuracy(model, buffer)
-        return report
+        return _fallback_fit(model, buffer, cfg, rng, report, "empty pure set")
 
     targets = np.zeros((buffer.size, c))
     targets[pure] = np.eye(c)[y[pure]]

@@ -87,7 +87,8 @@ class NoiseSpec:
 def default_superclass_pairs(num_classes):
     """Consecutive class pairs form superclasses: {0,1}, {2,3}, ..."""
     if num_classes % 2:
-        raise ConfigError(f"pairwise superclasses need an even class count, got {num_classes}")
+        raise ConfigError("noise.superclasses: pairwise superclasses need an even "
+                          f"class count, got {num_classes}")
     return {c: c // 2 for c in range(num_classes)}
 
 
@@ -123,7 +124,7 @@ def make_synthetic(classes, dims, per_class, cluster_spread, seed):
             best_dirs, best_gap = unit, gap
     if best_dirs is None or best_gap < 1e-9:
         raise ConfigError(
-            f"cannot separate {classes} class means in {dims} dimension(s)")
+            f"dataset.dims: cannot separate {classes} class means in {dims} dimension(s)")
     scale = max(6.0 * cluster_spread, 1.0) / best_gap
     means = best_dirs * scale
     labels = np.repeat(np.arange(classes), per_class)
@@ -233,8 +234,8 @@ def inject_noise(dataset, spec, class_groups=None):
             singleton = {c for c in group_of if len(group_of[c]) < 2}
             if singleton:
                 raise ConfigError(
-                    f"symmetric noise impossible: classes {sorted(singleton)} "
-                    "have no alternative class in their task")
+                    "noise.kind: symmetric noise impossible: classes "
+                    f"{sorted(singleton)} have no alternative class in their task")
         for i in np.flatnonzero(flips):
             others = [c for c in group_of[y[i]] if c != y[i]]
             noisy[i] = others[rng.integers(len(others))]
@@ -245,8 +246,8 @@ def inject_noise(dataset, spec, class_groups=None):
                              if spec.superclass_map[k] == spec.superclass_map[c])
             if len(members) < 2:
                 raise ConfigError(
-                    f"asymmetric noise impossible: class {c} has no partner "
-                    "inside its superclass within its task")
+                    f"noise.superclasses: asymmetric noise impossible: class {c} "
+                    "has no partner inside its superclass within its task")
             partner[c] = members[(members.index(c) + 1) % len(members)]
         lut = np.array([partner[c] for c in range(dataset.num_classes)])
         noisy[flips] = lut[y[flips]]
@@ -292,9 +293,12 @@ def load_csv(path, num_classes=None):
         if len(parts) != d + 1:
             raise ParseError(f"line {lineno}: expected {d + 1} fields, got {len(parts)}")
         try:
-            feats.append([float(v) for v in parts[:-1]])
+            row = [float(v) for v in parts[:-1]]
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric feature value") from None
+        if not np.isfinite(row).all():
+            raise ParseError(f"line {lineno}: non-finite feature value")
+        feats.append(row)
         try:
             lab = int(parts[-1])
         except ValueError:

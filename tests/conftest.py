@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aer.config import RunConfig
-from aer.engine import MethodSpec, run_single, train_reference
+from aer.config import MethodSpec, RunConfig
+from aer.engine import run_single, train_reference
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import re
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aer.cli import main
 
@@ -160,3 +168,153 @@ def test_sweep_with_single_alpha_matches_run(tiny_config, tmp_path):
     sweep_row = (out_sweep / "summary.csv").read_text().splitlines()[1].split(",")
     # identical metrics; only the label differs
     assert run_row[1:] == sweep_row[1:]
+
+
+# --- the exit-code contract over malformed CSVs and boundary config values ---
+
+CONTRACT_RUN = """
+[run]
+method = {method}
+batch_size = {batch_size}
+epochs_per_task = {epochs}
+buffer_capacity = {capacity}
+alpha = {alpha}
+lr = {lr}
+seeds = 0
+hidden = 8
+consolidation = {consolidation}
+
+[dataset]
+kind = {kind}
+{path}
+classes = {classes}
+dims = {dims}
+per_class = {per_class}
+tasks = {tasks}
+test_fraction = {test_fraction}
+
+[noise]
+kind = {noise_kind}
+rate = {noise_rate}
+
+[consolidation]
+epochs = 2
+"""
+FIELD = re.compile(r"\b(run|dataset|noise|consolidation)\.\w+")
+
+
+def run_cli(tmp, **values):
+    """Run ``aer run`` in-process on a generated config; returns (code, stderr)."""
+    fields = dict(method="er", batch_size=8, epochs=1, capacity=8, alpha=50,
+                  lr=0.05, consolidation="none", kind="synthetic", path="",
+                  classes=4, dims=3, per_class=10, tasks=2, test_fraction=0.2,
+                  noise_kind="symmetric", noise_rate=0.2)
+    fields.update(values)
+    cfg = Path(tmp) / "contract.ini"
+    cfg.write_text(CONTRACT_RUN.format(**fields))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    return code, err
+
+
+def csv_rows(classes, per_class, seed):
+    rng = np.random.default_rng(seed)
+    return [",".join([repr(float(v)) for v in rng.standard_normal(2)] + [str(c)])
+            for c in range(classes) for _ in range(per_class)]
+
+
+@st.composite
+def malformed_csvs(draw):
+    """(csv text, expected exit code, text the message must contain)."""
+    classes = draw(st.sampled_from([4, 5, 6]))
+    rows = csv_rows(classes, 10, draw(st.integers(0, 99)))
+    fault = draw(st.sampled_from(["none", "cell", "ragged", "gap", "few"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    # the run has 2 tasks: an odd class count is a config error, reported
+    # after parse faults and classes without test rows
+    expect = (2, "dataset.tasks: 5 classes") if classes % 2 else (0, "")
+    if fault == "cell":
+        cell = draw(st.sampled_from(["nan", "inf", "-inf", "", "1e999", "x"]))
+        rows[r] = ",".join([cell] + rows[r].split(",")[1:])
+        expect = (4, f"line {r + 2}:")
+    elif fault == "ragged":
+        rows[r] = rows[r] + ",0.5" if draw(st.booleans()) else rows[r].split(",", 1)[1]
+        expect = (4, f"line {r + 2}:")
+    elif fault == "gap":
+        gap = draw(st.integers(0, classes - 2))
+        rows = [row for row in rows if not row.endswith(f",{gap}")]
+        expect = (4, f"class {gap} has no rows")
+    elif fault == "few":
+        # 1-4 rows hold no test row at test_fraction 0.2
+        few = draw(st.integers(0, classes - 1))
+        kept = rows[10 * few:10 * few + draw(st.integers(1, 4))]
+        rows = [row for row in rows if not row.endswith(f",{few}")] + kept
+        expect = (4, f"class {few} has no test rows")
+    return "f0,f1,label\n" + "\n".join(rows) + "\n", *expect
+
+
+@given(malformed_csvs())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_csv_exits_4_naming_line_or_class(tmp_path, case):
+    text, code, where = case
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    got, err = run_cli(tmp_path, kind="csv", path=f"path = {data}")
+    assert got == code, err
+    assert where in err
+
+
+# valid values at or near each bound; combinations can still clash
+# (classes vs tasks, test_fraction vs per_class, noise vs classes per task)
+BOUNDARY_VALUES = {
+    "method": ["finetune", "joint", "er", "gdumb", "aer_abs", "aer_lass"],
+    "consolidation": ["none", "buffer_fit", "mixmatch"],
+    "batch_size": [1, 8], "epochs": [1, 2], "capacity": [1, 8],
+    "alpha": [0, 100], "lr": [0.05, 1e300], "tasks": [1, 2],
+    "test_fraction": [0.2, 0.5, 0.9], "noise_kind": ["symmetric", "asymmetric"],
+    "noise_rate": [0, 0.5, 1], "classes": [2, 4], "dims": [1, 3],
+    "per_class": [4, 10],
+}
+OUT_OF_RANGE = [("batch_size", 0), ("epochs", 0), ("capacity", 0), ("alpha", -1),
+                ("alpha", 101), ("lr", 0), ("tasks", 0), ("test_fraction", 0),
+                ("test_fraction", 1), ("noise_rate", 1.5), ("classes", 1),
+                ("dims", 0), ("per_class", 0), ("method", "nope")]
+
+
+@given(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in BOUNDARY_VALUES.items()}),
+       st.none() | st.sampled_from(OUT_OF_RANGE))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_boundary_config_values_exit_with_documented_code(tmp_path, values, bad):
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    code, err = run_cli(tmp_path, **values)
+    if bad is not None:
+        assert code == 2, err
+    if code == 2:
+        assert FIELD.search(err), err
+    elif code == 3:
+        assert err.startswith("numerical abort: ")
+
+
+def test_label_gap_is_named_before_the_divisibility_check(tmp_path):
+    data = tmp_path / "data.csv"
+    rows = [row for row in csv_rows(5, 10, 0) if not row.endswith(",2")]
+    data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    code, err = run_cli(tmp_path, kind="csv", path=f"path = {data}")
+    assert code == 4
+    assert "class 2 has no rows" in err
+
+
+def test_empty_synthetic_test_split_is_rejected_before_training(tmp_path):
+    code, err = run_cli(tmp_path, per_class=4, test_fraction=0.2)
+    assert code == 2
+    assert "dataset.test_fraction" in err
+    assert not (tmp_path / "out").exists()

@@ -67,6 +67,8 @@ def test_validation_messages_name_the_field():
         RunConfig(method="nope").validate()
     with pytest.raises(ConfigError, match="run.consolidation"):
         RunConfig(method="gdumb", consolidation="mixmatch").validate()
+    with pytest.raises(ConfigError, match="dataset.test_fraction"):
+        RunConfig(per_class=4, test_fraction=0.2).validate()
 
 
 def test_bad_values_name_field_on_parse(tmp_path):

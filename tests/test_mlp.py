@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from aer.errors import InputError, NumericalError
-from aer.mlp import (MLP, augment, ce_gradient, per_sample_ce,
-                     restore_checkpoint, save_checkpoint)
+from aer.mlp import (MLP, augment, ce_gradient, per_sample_ce, prob_mse,
+                     prob_mse_gradient, restore_checkpoint, save_checkpoint,
+                     soft_ce_gradient, soft_cross_entropy, softmax)
 
 
 def small_model(seed=0, hidden=(5, 4), in_dim=3, classes=4, lr=0.1):
@@ -147,6 +148,25 @@ def test_hidden_network_gradient_matches_finite_differences():
     labels = rng.integers(0, 4, size=5)
     assert relative_grad_error(m, x, labels) < 1e-4
     assert relative_grad_error(m, x, labels, mask={0, 1, 2}) < 1e-4
+
+
+@pytest.mark.parametrize("loss, gradient", [
+    (soft_cross_entropy, soft_ce_gradient),
+    (prob_mse, prob_mse_gradient),
+])
+def test_soft_target_gradients_match_finite_differences(loss, gradient, h=1e-5):
+    """The MixMatch gradients are d(batch-mean loss)/d(logits)."""
+    rng = np.random.default_rng(44)
+    logits = 2.0 * rng.standard_normal((6, 4))
+    targets = softmax(rng.standard_normal((6, 4)))
+    numeric = np.zeros_like(logits)
+    for idx in np.ndindex(logits.shape):
+        up, down = logits.copy(), logits.copy()
+        up[idx] += h
+        down[idx] -= h
+        numeric[idx] = (loss(up, targets).mean() - loss(down, targets).mean()) / (2 * h)
+    analytic = gradient(logits, targets)
+    assert np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric) < 1e-6
 
 
 def test_repeated_batch_loss_nonincreasing_convex_case():

@@ -225,6 +225,14 @@ def test_csv_non_numeric_error_names_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_error_names_line(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n0.5,1.0,1\n{cell},1.0,0\n")
+    with pytest.raises(ParseError, match="line 3: non-finite feature value"):
+        load_csv(path)
+
+
 def test_csv_unknown_label_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n0.1,1.0,7\n")
