@@ -4,6 +4,12 @@ Holds a reservoir baseline, percentile-gated insertion, loss-proportional
 replacement (LASS) and the asymmetric balanced variant (ABS) that replaces
 high-loss current-task entries but low-loss past-task entries, choosing the
 partition with a Bernoulli draw on the current task's share of the buffer.
+
+A batch step of LASS/ABS victim draws keeps its not-yet-replaced slots as
+ascending index arrays, one per partition (ABS: current and past task;
+LASS: all slots). They are built once at the step's first replacement and
+each drawn slot is cut from its array, so no draw rebuilds a buffer-sized
+mask.
 """
 
 import hashlib
@@ -13,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .mlp import per_sample_ce
 
 
@@ -171,29 +177,49 @@ def abs_select(buffer, current_task, rng):
     """
     if len(buffer) == 0:
         raise InputError("buffer is empty")
+    parts, p_current = _available_slots(buffer, "abs", current_task)
+    k, j = _draw_slot(buffer, "abs", rng, parts, p_current)
+    return int(parts[k][j])
+
+
+def _available_slots(buffer, selector, current_task):
+    """Ascending slot arrays a victim draw may pick from, and the current
+    task's share of the buffer: ``[current, past]`` and that share for ABS,
+    ``[all]`` and None otherwise."""
+    if selector != "abs":
+        return [np.arange(buffer.size)], None
     current = buffer.task_ids[:buffer.size] == current_task
-    return _draw_slot(buffer, "abs", rng, np.ones(buffer.size, dtype=bool),
-                      current, current.sum() / buffer.size)
+    cur = np.flatnonzero(current)
+    return [cur, np.flatnonzero(~current)], len(cur) / buffer.size
 
 
-def _draw_slot(buffer, selector, rng, available, current, p_current):
-    """One victim slot among ``available``; ``current`` marks the current
-    task's entries and ``p_current`` is their share (ABS only)."""
-    losses = buffer.losses[:buffer.size]
+def _draw_slot(buffer, selector, rng, parts, p_current):
+    """One victim among the slot arrays ``parts`` (see ``_available_slots``);
+    returns ``(k, j)``, the victim being ``parts[k][j]``.
+
+    ABS picks the current partition (k = 0) with probability ``p_current``
+    and falls back to the other one when the pick is empty. The draw inverts
+    the cumulative probabilities at one ``rng.random()``, which selects the
+    same index as ``rng.choice(len(probs), p=probs)`` and leaves ``rng`` in
+    the same state.
+    """
+    losses = buffer.losses
     if selector == "lass":
-        idx = np.flatnonzero(available)
-        probs = _score_probabilities(losses[idx])
+        k = 0
+        probs = _score_probabilities(losses[parts[0]])
     elif selector == "abs":
-        is_cur = rng.random() < p_current
-        part = available & (current if is_cur else ~current)
-        if not part.any():
-            # the chosen partition has no available entry: draw from the other
-            is_cur, part = not is_cur, available
-        idx = np.flatnonzero(part)
-        probs = _abs_partition_probs(losses[idx], is_cur)
+        k = 0 if rng.random() < p_current else 1
+        if not len(parts[k]):
+            k = 1 - k
+        probs = _abs_partition_probs(losses[parts[k]], k == 0)
     else:
         raise InputError(f"unknown selector {selector!r}")
-    return int(idx[rng.choice(len(idx), p=probs)])
+    cdf = probs.cumsum()
+    if not 0.0 < cdf[-1] < math.inf or probs.min() < 0.0:
+        raise NumericalError(f"{selector} victim draw: probabilities are not "
+                             "finite and non-negative; check the cached losses")
+    cdf /= cdf[-1]
+    return k, int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
@@ -205,11 +231,16 @@ def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
     batch step; if candidates outnumber the slots, later candidates recycle
     the earliest-replaced slots so the most recent capacity-many candidates
     stay resident. Scores derive from the cached losses refreshed at the
-    start of the step; the partition Bernoulli probability is frozen at
-    call start.
+    start of the step.
+
+    The available-slot arrays and the partition Bernoulli probability are
+    built once, at the first replacement of the step, and each drawn slot
+    is then cut from its array in place, so the arrays stay ascending and
+    every draw scores the same subset in the same order as a fresh
+    ``flatnonzero`` over the not-yet-replaced slots would.
     """
     n = len(features)
-    current = p_current = None
+    parts = p_current = None
     replaced = []
     overflow = 0
     for i in range(n):
@@ -220,18 +251,15 @@ def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
             slot = replaced[overflow % buffer.capacity]
             overflow += 1
         else:
-            if selector == "abs" and current is None:
-                # frozen at the first replacement of this batch step, i.e.
-                # before any slot of the full buffer has been overwritten;
-                # overwritten slots leave ``available``, so their new task
-                # ids never reach a draw
-                current = buffer.task_ids[:buffer.size] == current_task
-                p_current = current.sum() / buffer.size
-            available = np.ones(buffer.size, dtype=bool)
-            if replaced:
-                available[replaced] = False
-            slot = _draw_slot(buffer, selector, rng, available, current,
-                              p_current)
+            if parts is None:
+                # built before any slot of the full buffer is overwritten;
+                # overwritten slots leave the arrays, so their new task ids
+                # never reach a draw
+                parts, p_current = _available_slots(buffer, selector, current_task)
+            k, j = _draw_slot(buffer, selector, rng, parts, p_current)
+            part = parts[k]
+            slot = int(part[j])
+            parts[k] = np.concatenate((part[:j], part[j + 1:]))
             replaced.append(slot)
         buffer.overwrite(slot, features[i], labels[i], true_labels[i],
                          task_ids[i], losses[i])

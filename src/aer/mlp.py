@@ -7,6 +7,7 @@ jitter. Everything is float64 so gradient checks and checkpoint
 round-trips are unambiguous.
 """
 
+import functools
 import math
 import struct
 
@@ -152,15 +153,33 @@ class MLP:
         return losses
 
 
-def _mask_columns(logits, class_mask):
+def _mask_columns(num_classes, class_mask):
+    """(sorted column array, boolean lookup over 0..C-1) of a class mask.
+
+    Memoised per ``(num_classes, mask)``: the engine passes the same few
+    masks on every batch, so the sort and bounds check run once per mask.
+    A mask is keyed by the tuple of its elements in iteration order; the
+    returned arrays are shared between calls and therefore read-only.
+    """
+    key = None if class_mask is None else tuple(class_mask)
+    return _mask_columns_memo(num_classes, key)
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_columns_memo(num_classes, class_mask):
     if class_mask is None:
-        return np.arange(logits.shape[1])
-    cols = np.array(sorted(int(c) for c in class_mask), dtype=np.intp)
-    if cols.size == 0:
-        raise InputError("class_mask must be non-empty")
-    if cols[0] < 0 or cols[-1] >= logits.shape[1]:
-        raise InputError(f"class_mask {cols.tolist()} outside 0..{logits.shape[1] - 1}")
-    return cols
+        cols = np.arange(num_classes)
+    else:
+        cols = np.array(sorted(int(c) for c in class_mask), dtype=np.intp)
+        if cols.size == 0:
+            raise InputError("class_mask must be non-empty")
+        if cols[0] < 0 or cols[-1] >= num_classes:
+            raise InputError(f"class_mask {cols.tolist()} outside 0..{num_classes - 1}")
+    allowed = np.zeros(num_classes, dtype=bool)
+    allowed[cols] = True
+    cols.flags.writeable = False
+    allowed.flags.writeable = False
+    return cols, allowed
 
 
 def per_sample_ce(logits, labels, class_mask=None):
@@ -174,14 +193,15 @@ def per_sample_ce(logits, labels, class_mask=None):
     labels = np.asarray(labels, dtype=np.intp)
     if logits.ndim != 2 or labels.ndim != 1 or len(labels) != len(logits):
         raise InputError("logits must be (n, C) and labels (n,)")
-    cols = _mask_columns(logits, class_mask)
-    if class_mask is not None:
-        allowed = np.isin(labels, cols)
-        if not np.all(allowed):
-            bad = labels[~allowed][0]
-            raise InputError(f"label {bad} outside class mask {cols.tolist()}")
-    elif labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise InputError("label outside 0..C-1")
+    cols, allowed = _mask_columns(logits.shape[1], class_mask)
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]
+                        or not allowed[labels].all()):
+        if class_mask is None:
+            raise InputError("label outside 0..C-1")
+        bad = labels[~np.isin(labels, cols)][0]
+        raise InputError(f"label {bad} outside class mask {cols.tolist()}")
+    # ``sub`` is the fancy-index copy even without a mask: its memory
+    # layout fixes the rounding of the row sums below
     sub = logits[:, cols]
     peak = sub.max(axis=1, keepdims=True)
     lse = peak[:, 0] + np.log(np.exp(sub - peak).sum(axis=1))
@@ -192,7 +212,7 @@ def ce_gradient(logits, labels, class_mask=None):
     """Gradient of the batch-mean CE w.r.t. logits; exactly 0 outside the mask."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    cols = _mask_columns(logits, class_mask)
+    cols = _mask_columns(logits.shape[1], class_mask)[0]
     sub = logits[:, cols]
     peak = sub.max(axis=1, keepdims=True)
     expd = np.exp(sub - peak)

@@ -4,7 +4,7 @@ import pytest
 from aer.buffer import (MemoryBuffer, abs_select, diversity, gdumb_update,
                         insertion_candidates, lass_scores, purity,
                         replace_with_candidates, reservoir_update)
-from aer.errors import InputError
+from aer.errors import InputError, NumericalError
 from aer.mlp import MLP
 
 
@@ -172,6 +172,136 @@ def test_replace_overflow_keeps_last_m_by_draw_order():
     assert len(buf) == 4
     resident = sorted(buf.features[:4, 0].tolist())
     assert resident == [12.0, 13.0, 14.0, 15.0]
+
+
+class RecordingBuffer(MemoryBuffer):
+    """MemoryBuffer that records the slot of every overwrite."""
+
+    def __init__(self, capacity, dim):
+        super().__init__(capacity, dim)
+        self.slots = []
+
+    def overwrite(self, i, *entry):
+        self.slots.append(i)
+        super().overwrite(i, *entry)
+
+
+def reference_draw(buffer, selector, rng, available, current, p_current):
+    """The victim draw as first written: ``flatnonzero`` over a boolean
+    ``available`` mask and ``rng.choice`` with explicit probabilities."""
+    losses = buffer.losses[:buffer.size]
+    if selector == "lass":
+        idx = np.flatnonzero(available)
+        scores = losses[idx]
+    else:
+        is_cur = rng.random() < p_current
+        part = available & (current if is_cur else ~current)
+        if not part.any():
+            is_cur, part = not is_cur, available
+        idx = np.flatnonzero(part)
+        scores = losses[idx] if is_cur else losses[idx].max() - losses[idx]
+    total = scores.sum()
+    probs = np.full(len(idx), 1.0 / len(idx)) if total <= 0.0 else scores / total
+    return int(idx[rng.choice(len(idx), p=probs)])
+
+
+def reference_replace(buffer, features, labels, true_labels, task_ids, losses,
+                      selector, current_task, rng):
+    """``replace_with_candidates`` as first written: a capacity-sized
+    ``available`` mask rebuilt for every draw."""
+    current = p_current = None
+    replaced = []
+    overflow = 0
+    for i in range(len(features)):
+        if buffer.size < buffer.capacity:
+            buffer.add(features[i], labels[i], true_labels[i], task_ids[i], losses[i])
+            continue
+        if len(replaced) >= buffer.capacity:
+            slot = replaced[overflow % buffer.capacity]
+            overflow += 1
+        else:
+            if current is None:
+                current = buffer.task_ids[:buffer.size] == current_task
+                p_current = current.sum() / buffer.size
+            available = np.ones(buffer.size, dtype=bool)
+            available[replaced] = False
+            slot = reference_draw(buffer, selector, rng, available, current, p_current)
+            replaced.append(slot)
+        buffer.overwrite(slot, features[i], labels[i], true_labels[i],
+                         task_ids[i], losses[i])
+
+
+BUFFER_KINDS = ("mixed", "all_current", "all_past", "zero_losses")
+
+
+def random_buffer(rng, kind, current_task=2):
+    """A full buffer of random capacity; about a fifth of the losses are 0."""
+    capacity = int(rng.integers(1, 40))
+    buf = RecordingBuffer(capacity, 2)
+    for i in range(capacity):
+        task = {"all_current": current_task,
+                "all_past": int(rng.integers(0, current_task))}.get(
+                    kind, int(rng.integers(0, current_task + 1)))
+        loss = 0.0 if kind == "zero_losses" or rng.random() < 0.2 else float(rng.random())
+        buf.add(np.full(2, float(i)), i % 2, 0, task, loss)
+    return buf
+
+
+def clone(buf):
+    twin = RecordingBuffer(buf.capacity, buf.dim)
+    for i in range(buf.size):
+        twin.add(buf.features[i], buf.labels[i], buf.true_labels[i],
+                 buf.task_ids[i], buf.losses[i])
+    return twin
+
+
+@pytest.mark.parametrize("kind", BUFFER_KINDS)
+@pytest.mark.parametrize("selector", ["lass", "abs"])
+def test_replace_draws_match_reference_byte_for_byte(selector, kind):
+    """Same slot sequence, same buffer bytes and same generator state as
+    the mask-and-``rng.choice`` draw, including the uniform fallback and
+    candidates that outnumber the capacity."""
+    rng = np.random.default_rng(100 + BUFFER_KINDS.index(kind))
+    for trial in range(50):
+        fast = random_buffer(rng, kind)
+        ref = clone(fast)
+        n = int(rng.integers(1, 2 * fast.capacity + 2))
+        cands = cand_arrays(100.0 + np.arange(n), task=2)
+        rng_fast, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        replace_with_candidates(fast, *cands, selector, 2, rng_fast)
+        reference_replace(ref, *cands, selector, 2, rng_ref)
+        assert fast.slots == ref.slots
+        assert fast.features.tobytes() == ref.features.tobytes()
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", BUFFER_KINDS)
+def test_abs_select_matches_reference_byte_for_byte(kind):
+    rng = np.random.default_rng(200 + BUFFER_KINDS.index(kind))
+    for trial in range(50):
+        buf = random_buffer(rng, kind)
+        available = np.ones(buf.size, dtype=bool)
+        current = buf.task_ids[:buf.size] == 2
+        rng_fast, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(20):
+            assert abs_select(buf, 2, rng_fast) == reference_draw(
+                buf, "abs", rng_ref, available, current, current.sum() / buf.size)
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("selector", ["lass", "abs"])
+def test_bad_cached_loss_in_draw_is_numerical_error(selector, bad):
+    """Non-finite or negative draw probabilities raise NumericalError (CLI
+    exit 3) naming the selector; every entry is current-task, so ABS scores
+    the bad loss directly."""
+    buf = filled_buffer([0.5, bad, 2.0], tasks=[9, 9, 9])
+    with pytest.raises(NumericalError, match=f"^{selector} victim draw"):
+        replace_with_candidates(buf, *cand_arrays([1.0]), selector=selector,
+                                current_task=9, rng=np.random.default_rng(0))
+    if selector == "abs":
+        with pytest.raises(NumericalError, match="^abs victim draw"):
+            abs_select(buf, 9, np.random.default_rng(0))
 
 
 def test_purity_clean_buffer_is_one():

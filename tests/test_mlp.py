@@ -326,3 +326,99 @@ def test_train_steps_are_byte_identical_to_reference(n, momentum):
         fast, ref = (m.train_step(*args) for m in models)
         assert fast.tobytes() == ref.tobytes()
         assert save_checkpoint(models[0]).data == save_checkpoint(models[1]).data
+
+
+def reference_mask_columns(logits, class_mask):
+    if class_mask is None:
+        return np.arange(logits.shape[1])
+    cols = np.array(sorted(int(c) for c in class_mask), dtype=np.intp)
+    if cols.size == 0:
+        raise InputError("class_mask must be non-empty")
+    if cols[0] < 0 or cols[-1] >= logits.shape[1]:
+        raise InputError(f"class_mask {cols.tolist()} outside 0..{logits.shape[1] - 1}")
+    return cols
+
+
+def reference_per_sample_ce(logits, labels, class_mask=None):
+    """``per_sample_ce`` as first written: a sorted column array built per
+    call and an ``np.isin`` label check."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    cols = reference_mask_columns(logits, class_mask)
+    if class_mask is not None:
+        allowed = np.isin(labels, cols)
+        if not np.all(allowed):
+            bad = labels[~allowed][0]
+            raise InputError(f"label {bad} outside class mask {cols.tolist()}")
+    elif labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise InputError("label outside 0..C-1")
+    sub = logits[:, cols]
+    peak = sub.max(axis=1, keepdims=True)
+    lse = peak[:, 0] + np.log(np.exp(sub - peak).sum(axis=1))
+    return np.maximum(lse - logits[np.arange(len(labels)), labels], 0.0)
+
+
+def reference_ce_gradient(logits, labels, class_mask=None):
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    cols = reference_mask_columns(logits, class_mask)
+    sub = logits[:, cols]
+    peak = sub.max(axis=1, keepdims=True)
+    expd = np.exp(sub - peak)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    grad = np.zeros_like(logits)
+    grad[:, cols] = probs
+    grad[np.arange(len(labels)), labels] -= 1.0
+    return grad / len(labels)
+
+
+@pytest.mark.parametrize("mask", [(4, 1, 3), [3, 4, 1], {1, 3, 4},
+                                  np.array([4, 3, 1]), (9, *range(8)), None],
+                         ids=["tuple", "list", "set", "ndarray", "wide", "unmasked"])
+@pytest.mark.parametrize("n", [1, 32, 500])
+def test_masked_ce_is_byte_identical_to_reference(mask, n):
+    """Loss and gradient bytes equal the per-call formulas, for network
+    logits and for C- and Fortran-ordered copies of them. With 8 or more
+    softmax columns the row sums round differently unless the columns are
+    copied the same way."""
+    rng = np.random.default_rng(n)
+    logits = small_model(seed=n, in_dim=6, classes=10).forward(rng.standard_normal((n, 6)))
+    cols = np.arange(10) if mask is None else np.array(sorted(mask))
+    labels = cols[rng.integers(0, len(cols), size=n)]
+    for layout in (logits, np.ascontiguousarray(logits), np.asfortranarray(logits)):
+        for _ in range(2):  # the second call reads the memoised columns
+            assert (per_sample_ce(layout, labels, mask).tobytes()
+                    == reference_per_sample_ce(layout, labels, mask).tobytes())
+            assert (ce_gradient(layout, labels, mask).tobytes()
+                    == reference_ce_gradient(layout, labels, mask).tobytes())
+
+
+def test_mask_memo_follows_a_mutated_list():
+    logits = np.random.default_rng(0).standard_normal((4, 5))
+    labels = np.array([1, 2, 1, 2])
+    mask = [1, 2]
+    first = per_sample_ce(logits, labels, mask)
+    mask.append(4)
+    assert (per_sample_ce(logits, labels, mask).tobytes()
+            == reference_per_sample_ce(logits, labels, [1, 2, 4]).tobytes())
+    assert first.tobytes() == reference_per_sample_ce(logits, labels, [1, 2]).tobytes()
+
+
+@pytest.mark.parametrize("labels, mask", [
+    ([1, 3], ()),                 # class_mask must be non-empty
+    ([1, 3], {1, 3, 5}),          # class_mask [1, 3, 5] outside 0..4
+    ([1, -1], (-1, 1)),           # class_mask [-1, 1] outside 0..4
+    ([0, 3], {1, 3}),             # label 0 outside class mask [1, 3]
+    ([7, 0], {1, 3}),             # an out-of-range label reported first
+    ([3, -2, 0], [3, 1]),
+    ([1, 5], None),               # label outside 0..C-1
+    ([-1, 0], None),
+])
+def test_mask_and_label_errors_match_reference(labels, mask):
+    logits = np.zeros((len(labels), 5))
+    with pytest.raises(InputError) as ref:
+        reference_per_sample_ce(logits, labels, mask)
+    for _ in range(2):  # a failing mask is not memoised
+        with pytest.raises(InputError) as fast:
+            per_sample_ce(logits, labels, mask)
+        assert str(fast.value) == str(ref.value)

@@ -37,15 +37,17 @@ def audit(method, noise_rate, seeds):
         return real_replace(buffer, features, labels, true_labels, task_ids,
                             losses, selector, current_task, rng)
 
-    def draw(buffer, selector, rng, available, current, p_current):
-        slot = real_draw(buffer, selector, rng, available, current, p_current)
+    def draw(buffer, selector, rng, parts, p_current):
+        k, j = real_draw(buffer, selector, rng, parts, p_current)
+        slot = parts[k][j]
         size = buffer.size
         noisy = buffer.labels[:size] != buffer.true_labels[:size]
         is_cur = buffer.task_ids[:size] == state["task"]
-        part = available & (is_cur if is_cur[slot] else ~is_cur)
+        available = np.concatenate(parts)
+        part = available[is_cur[available] == is_cur[slot]]
         draws[bool(is_cur[slot])].append((bool(noisy[slot]),
                                           float(noisy[part].mean())))
-        return slot
+        return k, j
 
     engine.replace_with_candidates, buffer_mod._draw_slot = replace, draw
     try:
