@@ -189,6 +189,14 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     then the model trains on mixup batches of pure + refined targets. Falls
     back to ``buffer_fit`` when the pure set comes out empty (or the buffer
     is too small to fit a mixture). Never reads true labels for training.
+
+    Each epoch permutes the pure and the uncertain entries, then builds all
+    of its batches at once: a batch is ``batch`` pure rows followed by as
+    many uncertain rows (cycling through their permutation), mixed with a
+    per-batch partner permutation and ``Beta(alpha, alpha)`` weights. The
+    draws are made batch by batch in that order before the first step, and
+    the mixup arithmetic runs once over the epoch's stacked rows; each SGD
+    step then trains on its contiguous slice.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     report = {"kind": "mixmatch", "fallback": None}
@@ -228,23 +236,30 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     for epoch in range(cfg.consolidation_epochs):
         lr_e = _cosine_lr(cfg.consolidation_lr, epoch, cfg.consolidation_epochs)
         order = rng.permutation(pure)
-        uorder = rng.permutation(uncertain) if len(uncertain) else None
-        upos = 0
-        for start in range(0, len(order), batch):
-            lsel = order[start:start + batch]
-            if uorder is not None and len(uorder):
-                usel = uorder[(upos + np.arange(len(lsel))) % len(uorder)]
-                upos += len(lsel)
-                allx = np.vstack([x[lsel], x[usel]])
-                allt = np.vstack([targets[lsel], targets[usel]])
-            else:
-                allx, allt = x[lsel], targets[lsel]
-            widx = rng.permutation(len(allx))
-            lam = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=(len(allx), 1))
-            lam = np.maximum(lam, 1.0 - lam)
-            mixed_x = lam * allx + (1.0 - lam) * allx[widx]
-            mixed_t = lam * allt + (1.0 - lam) * allt[widx]
-            _mixmatch_step(model, mixed_x, mixed_t, len(lsel), cfg.lambda_u, lr_e)
+        starts = range(0, len(order), batch)
+        if len(uncertain):
+            # uncertain rows cycle through their permutation, batch after batch
+            uorder = rng.permutation(uncertain)
+            cycled = uorder[np.arange(len(order)) % len(uorder)]
+            blocks = [np.concatenate((order[s:s + batch], cycled[s:s + batch]))
+                      for s in starts]
+        else:
+            blocks = [order[s:s + batch] for s in starts]
+        # each step draws its partner permutation, then its mixing weights
+        partners, lams, bounds = [], [], [0]
+        for block in blocks:
+            partners.append(bounds[-1] + rng.permutation(len(block)))
+            lams.append(rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=(len(block), 1)))
+            bounds.append(bounds[-1] + len(block))
+        rows = np.concatenate(blocks)
+        partner = rows[np.concatenate(partners)]
+        lam = np.concatenate(lams)
+        lam = np.maximum(lam, 1.0 - lam)
+        mixed_x = lam * x[rows] + (1.0 - lam) * x[partner]
+        mixed_t = lam * targets[rows] + (1.0 - lam) * targets[partner]
+        for s, lo, hi in zip(starts, bounds, bounds[1:]):
+            _mixmatch_step(model, mixed_x[lo:hi], mixed_t[lo:hi],
+                           min(batch, len(order) - s), cfg.lambda_u, lr_e)
     report["post"] = _buffer_accuracy(model, buffer)
     return report
 

@@ -205,7 +205,7 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                     rlogits, rcache = model.forward(replay.features, cache=True)
                     rgrads = model.backward(
                         rcache, ce_gradient(rlogits, replay.labels, rmask))
-                    grads = [a + b for a, b in zip(grads, rgrads)]
+                    grads += rgrads
                 model.apply_step(grads)
                 loss_sum += float(losses.sum())
                 loss_count += len(losses)

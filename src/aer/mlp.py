@@ -5,6 +5,12 @@ plain SGD (optional momentum), per-sample cross-entropy losses with an
 optional class mask, byte-exact checkpoints and seeded Gaussian feature
 jitter. Everything is float64 so gradient checks and checkpoint
 round-trips are unambiguous.
+
+Parameters, momentum buffers and gradients are each one contiguous flat
+vector in the order ``[W0, b0, W1, b1, ...]`` (weights row-major). The
+per-tensor lists ``weights``, ``biases``, ``velocity_w`` and
+``velocity_b`` are reshaped views into those vectors, so an SGD step is a
+few whole-vector operations.
 """
 
 import functools
@@ -25,10 +31,15 @@ class MLP:
     linear classifier. ``seen_classes`` is bookkeeping for masked-loss
     training and only ever grows.
 
+    ``params`` and ``velocity`` are flat float64 vectors laid out as
+    ``[W0, b0, W1, b1, ...]``; ``weights``/``biases`` and
+    ``velocity_w``/``velocity_b`` are views into them. Write through the
+    views (``w[:] = ...``); rebinding a list entry detaches it.
+
     :param in_dim: feature dimensionality
     :param num_classes: size of the output layer
     :param hidden: hidden layer widths, default two layers of 64
-    :param lr: SGD learning rate (> 0)
+    :param lr: SGD learning rate (>= 0)
     :param momentum: SGD momentum coefficient, default 0
     :param seed: int or sequence of ints for the init generator
     """
@@ -43,17 +54,28 @@ class MLP:
             raise InputError(f"lr must be >= 0, got {lr}")
         rng = np.random.default_rng(seed)
         sizes = [int(in_dim), *[int(h) for h in hidden], int(num_classes)]
-        self.weights = []
-        self.biases = []
+        self._layout = []
+        end = 0
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            w = rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in)
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
-        self.velocity_w = [np.zeros_like(w) for w in self.weights]
-        self.velocity_b = [np.zeros_like(b) for b in self.biases]
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                start, end = end, end + math.prod(shape)
+                self._layout.append((slice(start, end), shape))
+        self.params = np.zeros(end)
+        self.velocity = np.zeros(end)
+        tensors = self.views(self.params)
+        self.weights, self.biases = tensors[0::2], tensors[1::2]
+        tensors = self.views(self.velocity)
+        self.velocity_w, self.velocity_b = tensors[0::2], tensors[1::2]
+        for w in self.weights:
+            w[:] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.seen_classes = set()
+
+    def views(self, flat):
+        """Per-tensor views ``[W0, b0, W1, b1, ...]`` of a flat vector laid
+        out like ``params`` (``backward``'s gradient, for instance)."""
+        return [flat[span].reshape(shape) for span, shape in self._layout]
 
     @property
     def in_dim(self):
@@ -104,45 +126,44 @@ class MLP:
         return np.argmax(self.forward(features), axis=1)
 
     def backward(self, cache, dlogits):
-        """Backpropagate d(loss)/d(logits) into a flat parameter-gradient list.
+        """Backpropagate d(loss)/d(logits) into one flat gradient vector.
 
         ``cache`` is the list of layer inputs from ``forward(..., cache=True)``.
         The ReLU mask of hidden layer i - 1 is ``inputs[i] > 0``, which equals
-        its pre-activation ``z > 0`` for every non-NaN ``z``. Returns
-        ``[dW0, db0, dW1, db1, ...]`` matching the layer order.
+        its pre-activation ``z > 0`` for every non-NaN ``z``. The result is
+        laid out like ``params``, ``[dW0, db0, dW1, db1, ...]``; ``views``
+        splits it per tensor.
         """
         inputs = cache
-        grads = [None] * (2 * self.num_layers)
+        grad = np.empty_like(self.params)
+        layout = self._layout
         delta = np.asarray(dlogits, dtype=np.float64)
         for i in reversed(range(self.num_layers)):
-            grads[2 * i] = inputs[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            (wspan, wshape), (bspan, _) = layout[2 * i], layout[2 * i + 1]
+            np.matmul(inputs[i].T, delta, out=grad[wspan].reshape(wshape))
+            delta.sum(axis=0, out=grad[bspan])
             if i > 0:
                 delta = delta @ self.weights[i].T
                 delta *= inputs[i] > 0
-        return grads
+        return grad
 
-    def apply_step(self, grads, lr=None):
-        """SGD update from a flat gradient list; mean reduction is the caller's.
+    def apply_step(self, grad, lr=None):
+        """SGD update from a flat gradient laid out like ``params``
+        (``[dW0, db0, dW1, db1, ...]``); mean reduction is the caller's.
 
-        Momentum buffers are updated in place (``v *= momentum; v += g``).
+        The momentum vector is updated in place (``v *= momentum; v += g``)
+        and every parameter, biases included, must stay finite.
         """
         step = self.lr if lr is None else float(lr)
-        for g in grads:
-            if not np.isfinite(g).all():
-                raise NumericalError(
-                    f"non-finite gradient (max abs {np.max(np.abs(g))!r})")
-        for i in range(self.num_layers):
-            vw, vb = self.velocity_w[i], self.velocity_b[i]
-            vw *= self.momentum
-            vw += grads[2 * i]
-            vb *= self.momentum
-            vb += grads[2 * i + 1]
-            self.weights[i] -= step * vw
-            self.biases[i] -= step * vb
-        for w in self.weights:
-            if not np.isfinite(w).all():
-                raise NumericalError("non-finite parameters after SGD step")
+        if not np.isfinite(grad).all():
+            raise NumericalError(
+                f"non-finite gradient (max abs {np.max(np.abs(grad))!r})")
+        v = self.velocity
+        v *= self.momentum
+        v += grad
+        self.params -= step * v
+        if not np.isfinite(self.params).all():
+            raise NumericalError("non-finite parameters after SGD step")
 
     def train_step(self, features, labels, class_mask=None, lr=None):
         """Forward, per-sample CE, backward and SGD step; returns the losses."""
@@ -294,21 +315,25 @@ def save_checkpoint(model, epoch=0):
 
     Byte layout: magic ``AERCKPT1``, little-endian u32 layer count, then per
     layer u32 rows, u32 cols, row-major f64 weights and f64 biases; momentum
-    buffers follow in the same per-layer order.
+    buffers follow in the same per-layer order, which is the byte image of
+    the flat ``velocity`` vector.
     """
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", model.num_layers)]
     for w, b in zip(model.weights, model.biases):
         parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    for vw, vb in zip(model.velocity_w, model.velocity_b):
-        parts.append(np.ascontiguousarray(vw, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(vb, dtype="<f8").tobytes())
+    parts.append(np.ascontiguousarray(model.velocity, dtype="<f8").tobytes())
     return Checkpoint(b"".join(parts), epoch)
 
 
 def restore_checkpoint(model, checkpoint):
-    """Restore parameters from a checkpoint into a matching architecture."""
+    """Restore parameters from a checkpoint into a matching architecture.
+
+    The bytes are copied into the model's existing ``params`` and
+    ``velocity`` vectors, so the per-tensor views stay attached; the model
+    is left untouched when the checkpoint does not match.
+    """
     data = checkpoint.data
     if data[:8] != CHECKPOINT_MAGIC:
         raise InputError("not a checkpoint (bad magic)")
@@ -319,7 +344,9 @@ def restore_checkpoint(model, checkpoint):
         raise InputError(
             f"architecture mismatch: checkpoint has {layer_count} layers, "
             f"model has {model.num_layers}")
-    weights, biases = [], []
+    # a layer's W and b are adjacent both in ``params`` and in the
+    # checkpoint, where its shape header comes first
+    layers = []
     for w in model.weights:
         rows, cols = struct.unpack_from("<II", data, offset)
         offset += 8
@@ -327,21 +354,14 @@ def restore_checkpoint(model, checkpoint):
             raise InputError(
                 f"architecture mismatch: checkpoint layer is {rows}x{cols}, "
                 f"model layer is {w.shape[0]}x{w.shape[1]}")
-        weights.append(np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols).copy())
-        offset += 8 * rows * cols
-        biases.append(np.frombuffer(data, "<f8", cols, offset).copy())
-        offset += 8 * cols
-    vel_w, vel_b = [], []
-    for w in model.weights:
-        rows, cols = w.shape
-        vel_w.append(np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols).copy())
-        offset += 8 * rows * cols
-        vel_b.append(np.frombuffer(data, "<f8", cols, offset).copy())
-        offset += 8 * cols
-    if offset != len(data):
+        layers.append((offset, rows * cols + cols))
+        offset += 8 * layers[-1][1]
+    velocity = np.frombuffer(data, "<f8", model.velocity.size, offset)
+    if offset + velocity.nbytes != len(data):
         raise InputError("corrupt checkpoint: trailing bytes")
-    model.weights = weights
-    model.biases = biases
-    model.velocity_w = vel_w
-    model.velocity_b = vel_b
+    pos = 0
+    for start, size in layers:
+        model.params[pos:pos + size] = np.frombuffer(data, "<f8", size, start)
+        pos += size
+    model.velocity[:] = velocity
     return model

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from aer import consolidation
 from aer.buffer import MemoryBuffer
 from aer.config import RunConfig
-from aer.consolidation import (_mixmatch_step, buffer_fit, corefine_labels,
-                               fit_gmm_em, mixmatch_consolidate, sharpen,
+from aer.consolidation import (_buffer_accuracy, _cosine_lr, _mixmatch_step,
+                               buffer_fit, corefine_labels, fit_gmm_em,
+                               mixmatch_consolidate, sharpen,
                                split_pure_uncertain)
 from aer.errors import InputError
 from aer.mlp import MLP, per_sample_ce, save_checkpoint, soft_ce_gradient
@@ -196,6 +198,80 @@ def test_mixmatch_report_shape():
     assert report["n_pure"] + report["n_uncertain"] == len(buf)
     assert len(report["gmm"]["means"]) == 2
     assert 0 <= report["post"]["true_label_accuracy"] <= 1
+
+
+def reference_mixmatch_consolidate(model, buffer, cfg, rng):
+    """``mixmatch_consolidate`` with its first mixup loop: per step, the
+    rows are gathered and stacked, then drawn for and mixed on their own.
+    Covers the non-fallback path only."""
+    report = {"kind": "mixmatch", "fallback": None,
+              "pre": _buffer_accuracy(model, buffer)}
+    x = buffer.features[:buffer.size].copy()
+    y = buffer.labels[:buffer.size].copy()
+    c = model.num_classes
+    fit = fit_gmm_em(per_sample_ce(model.forward(x), y))
+    pure, uncertain = consolidation.split_pure_uncertain(fit, cfg.gmm_threshold)
+    report["gmm"] = {"means": fit.means.tolist(), "variances": fit.variances.tolist(),
+                     "weights": fit.weights.tolist()}
+    report["n_pure"] = int(len(pure))
+    report["n_uncertain"] = int(len(uncertain))
+    targets = np.zeros((buffer.size, c))
+    targets[pure] = np.eye(c)[y[pure]]
+    if len(uncertain):
+        refined = corefine_labels(model, x[uncertain], y[uncertain],
+                                  fit.posterior_low[uncertain], c,
+                                  cfg.num_augments, cfg.augment_strength, rng)
+        targets[uncertain] = sharpen(refined, cfg.temperature)
+    batch = cfg.consolidation_batch
+    for epoch in range(cfg.consolidation_epochs):
+        lr_e = _cosine_lr(cfg.consolidation_lr, epoch, cfg.consolidation_epochs)
+        order = rng.permutation(pure)
+        uorder = rng.permutation(uncertain) if len(uncertain) else None
+        upos = 0
+        for start in range(0, len(order), batch):
+            lsel = order[start:start + batch]
+            if uorder is not None and len(uorder):
+                usel = uorder[(upos + np.arange(len(lsel))) % len(uorder)]
+                upos += len(lsel)
+                allx = np.vstack([x[lsel], x[usel]])
+                allt = np.vstack([targets[lsel], targets[usel]])
+            else:
+                allx, allt = x[lsel], targets[lsel]
+            widx = rng.permutation(len(allx))
+            lam = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=(len(allx), 1))
+            lam = np.maximum(lam, 1.0 - lam)
+            mixed_x = lam * allx + (1.0 - lam) * allx[widx]
+            mixed_t = lam * allt + (1.0 - lam) * allt[widx]
+            _mixmatch_step(model, mixed_x, mixed_t, len(lsel), cfg.lambda_u, lr_e)
+    report["post"] = _buffer_accuracy(model, buffer)
+    return report
+
+
+@pytest.mark.parametrize("n_pure, n_uncertain, batch", [
+    (48, 0, 16),    # no uncertain entries
+    (40, 5, 16),    # fewer uncertain entries than a batch: they wrap around
+    (37, 20, 16),   # a pure count that is not a multiple of the batch
+    (7, 3, 1),      # batch 1
+    (10, 25, 64),   # a batch larger than the pure set
+])
+def test_mixmatch_epoch_batches_match_per_step_reference(monkeypatch, n_pure,
+                                                         n_uncertain, batch):
+    """The epoch-wide mixup gives the per-step loop's model bytes, report
+    and generator state."""
+    cfg = consolidation_cfg(consolidation_epochs=3, consolidation_batch=batch,
+                            mixup_alpha=0.4, lambda_u=0.5)
+    buf = noisy_buffer(n=n_pure + n_uncertain + 3, seed=n_pure)
+    split = np.random.default_rng(n_uncertain).permutation(buf.size)
+    monkeypatch.setattr(consolidation, "split_pure_uncertain", lambda fit, thr: (
+        np.sort(split[:n_pure]), np.sort(split[n_pure:n_pure + n_uncertain])))
+    results = []
+    for consolidate in (mixmatch_consolidate, reference_mixmatch_consolidate):
+        model = MLP(4, 4, hidden=(8, 6), lr=0.1, momentum=0.9, seed=3)
+        rng = np.random.default_rng(11)
+        report = consolidate(model, buf, cfg, rng)
+        results.append((save_checkpoint(model).data, report, rng.bit_generator.state))
+    assert results[0][1]["n_pure"] == n_pure
+    assert results[0] == results[1]
 
 
 def test_buffer_fit_zero_epochs_is_identity():

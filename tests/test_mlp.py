@@ -110,7 +110,7 @@ def test_lr_zero_leaves_parameters_unchanged():
 def relative_grad_error(model, x, labels, mask=None, h=1e-5):
     """Per-layer norm ratio between analytic and central-difference grads."""
     logits, cache = model.forward(x, cache=True)
-    grads = model.backward(cache, ce_gradient(logits, labels, mask))
+    grads = model.views(model.backward(cache, ce_gradient(logits, labels, mask)))
     worst = 0.0
     params = []
     for i in range(model.num_layers):
@@ -249,13 +249,26 @@ def test_identical_seeds_give_identical_trajectories():
 
 def test_nonfinite_gradient_raises_numerical_error():
     m = small_model()
-    grads = [np.full_like(w, np.nan) for w in m.weights for _ in (0,)]
-    bad = []
-    for i in range(m.num_layers):
-        bad.append(np.full_like(m.weights[i], np.nan))
-        bad.append(np.zeros_like(m.biases[i]))
+    bad = np.zeros_like(m.params)
+    for i, g in enumerate(m.views(bad)):
+        if i % 2 == 0:
+            g[:] = np.nan
     with pytest.raises(NumericalError):
         m.apply_step(bad)
+
+
+def test_bias_overflow_in_a_step_raises_numerical_error():
+    """Finite gradients that overflow only a bias fail the step itself, not
+    a later forward pass."""
+    m = small_model()
+    big = np.finfo(np.float64).max
+    m.biases[0][0] = big
+    grad = np.zeros_like(m.params)
+    m.views(grad)[1][0] = -big
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="non-finite parameters after SGD step"):
+        m.apply_step(grad, lr=1.0)
+    assert all(np.isfinite(w).all() for w in m.weights)
 
 
 def test_nan_feature_reaches_the_logits_guard():
@@ -300,8 +313,8 @@ class ReferenceMLP(MLP):
     def apply_step(self, grads, lr=None):
         step = self.lr if lr is None else float(lr)
         for i in range(self.num_layers):
-            self.velocity_w[i] = self.momentum * self.velocity_w[i] + grads[2 * i]
-            self.velocity_b[i] = self.momentum * self.velocity_b[i] + grads[2 * i + 1]
+            self.velocity_w[i][:] = self.momentum * self.velocity_w[i] + grads[2 * i]
+            self.velocity_b[i][:] = self.momentum * self.velocity_b[i] + grads[2 * i + 1]
             self.weights[i] -= step * self.velocity_w[i]
             self.biases[i] -= step * self.velocity_b[i]
 
@@ -324,6 +337,32 @@ def test_train_steps_are_byte_identical_to_reference(n, momentum):
         else:
             args = (x, labels, None, None)
         fast, ref = (m.train_step(*args) for m in models)
+        assert fast.tobytes() == ref.tobytes()
+        assert save_checkpoint(models[0]).data == save_checkpoint(models[1]).data
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_restore_writes_into_the_flat_vectors(momentum):
+    """After a restore every per-tensor list still views ``params`` or
+    ``velocity``, and training continues as the reference does."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((24, 6))
+    labels = rng.integers(0, 5, size=24)
+    source = MLP(6, 5, hidden=(16, 8), lr=0.05, momentum=momentum, seed=1)
+    for _ in range(3):
+        source.train_step(x, labels)
+    ckpt = save_checkpoint(source)
+    models = [cls(6, 5, hidden=(16, 8), lr=0.05, momentum=momentum, seed=2)
+              for cls in (MLP, ReferenceMLP)]
+    for m in models:
+        m.train_step(x[::2], labels[::2])
+        restore_checkpoint(m, ckpt)
+        assert save_checkpoint(m).data == ckpt.data
+        for flat, tensors in ((m.params, m.weights + m.biases),
+                              (m.velocity, m.velocity_w + m.velocity_b)):
+            assert all(np.shares_memory(t, flat) for t in tensors)
+    for _ in range(3):
+        fast, ref = (m.train_step(x, labels) for m in models)
         assert fast.tobytes() == ref.tobytes()
         assert save_checkpoint(models[0]).data == save_checkpoint(models[1]).data
 
