@@ -74,13 +74,12 @@ class MemoryBuffer:
         ids, counts = np.unique(self.task_ids[:self.size], return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
-    def refresh_losses(self, model, class_mask=None):
+    def refresh_losses(self, model):
         """Recompute cached losses of all entries under the given model."""
         if self.size == 0:
             return
         logits = model.forward(self.features[:self.size])
-        self.losses[:self.size] = per_sample_ce(logits, self.labels[:self.size],
-                                                class_mask)
+        self.losses[:self.size] = per_sample_ce(logits, self.labels[:self.size])
 
     def content_hash(self):
         """Digest of entry identities (features, labels, tasks, ticks).

@@ -125,6 +125,16 @@ class RunConfig:
             bad("run.alpha", f"must be within [0, 100], got {self.alpha}")
         if not self.seeds:
             bad("run.seeds", "need at least one seed")
+        if min(self.seeds) < 0:
+            bad("run.seeds", f"must be >= 0, got {min(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            bad("run.seeds", f"must be distinct, got {list(self.seeds)}")
+        if any(h < 1 for h in self.hidden):
+            bad("run.hidden", f"each width must be >= 1, got {list(self.hidden)}")
+        if self.gdumb_fit_epochs < 0:
+            bad("run.gdumb_fit_epochs", f"must be >= 0, got {self.gdumb_fit_epochs}")
+        if self.gdumb_fit_lr <= 0:
+            bad("run.gdumb_fit_lr", f"must be > 0, got {self.gdumb_fit_lr}")
         if self.consolidation not in CONSOLIDATION_MODES:
             bad("run.consolidation",
                 f"must be one of {', '.join(CONSOLIDATION_MODES)}, got {self.consolidation!r}")
@@ -149,6 +159,8 @@ class RunConfig:
             if self.classes % self.tasks:
                 bad("dataset.tasks",
                     f"{self.classes} classes not divisible by {self.tasks} tasks")
+        if self.dataset_seed < 0:
+            bad("dataset.seed", f"must be >= 0, got {self.dataset_seed}")
         if not 0 < self.test_fraction < 1:
             bad("dataset.test_fraction", f"must be in (0, 1), got {self.test_fraction}")
         if (self.dataset_kind == "synthetic"
@@ -160,6 +172,8 @@ class RunConfig:
             bad("noise.kind", f"must be symmetric|asymmetric, got {self.noise_kind!r}")
         if not 0 <= self.noise_rate <= 1:
             bad("noise.rate", f"must be in [0, 1], got {self.noise_rate}")
+        if self.noise_seed < 0:
+            bad("noise.seed", f"must be >= 0, got {self.noise_seed}")
         if self.consolidation_epochs < 0:
             bad("consolidation.epochs", f"must be >= 0, got {self.consolidation_epochs}")
         if self.consolidation_lr <= 0:

@@ -33,27 +33,19 @@ def resolve_method(name):
     return PRESETS[name]
 
 
-@dataclass(frozen=True)
-class EpochSchedule:
-    """Strictly alternating learning/forgetting modes, learning first."""
-    modes: tuple
-    insert_during_learning: bool = False
-
-
 def alternation_schedule(epochs):
-    """Learning first, then strict alternation.
+    """Epoch modes of an alternating task: learning first, then strict
+    alternation with forgetting.
 
     A single epoch cannot alternate; it degenerates to one learning epoch
-    with insertions enabled (warned).
+    (warned), which ``train_task`` runs unfrozen, with buffer updates.
     """
     if epochs < 1:
         raise InputError(f"epochs must be >= 1, got {epochs}")
     if epochs == 1:
         warnings.warn("single-epoch task: alternation impossible, "
                       "running one learning epoch with buffer updates enabled")
-        return EpochSchedule(("learning",), insert_during_learning=True)
-    modes = tuple("learning" if e % 2 == 0 else "forgetting" for e in range(epochs))
-    return EpochSchedule(modes)
+    return tuple("learning" if e % 2 == 0 else "forgetting" for e in range(epochs))
 
 
 def replay_batch(buffer, k, rng):
@@ -62,10 +54,9 @@ def replay_batch(buffer, k, rng):
     size = len(buffer)
     if size == 0:
         return Batch(np.zeros((0, buffer.dim)), np.zeros(0, dtype=np.intp),
-                     np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+                     np.zeros(0, dtype=np.intp))
     sel = rng.choice(size, size=k, replace=size < k)
-    return Batch(buffer.features[sel], buffer.labels[sel],
-                 buffer.true_labels[sel], buffer.task_ids[sel])
+    return Batch(buffer.features[sel], buffer.labels[sel], buffer.true_labels[sel])
 
 
 @dataclass
@@ -130,8 +121,7 @@ def prepare_data(cfg, run_seed):
     pair up on identical data.
     """
     train, test = load_splits(cfg)
-    stream = split_tasks(train, cfg.tasks, run_seed, cfg.epochs_per_task,
-                         cfg.batch_size)
+    stream = split_tasks(train, cfg.tasks, run_seed, cfg.batch_size)
     noise_report = None
     if cfg.noise_rate > 0:
         if cfg.noise_kind == "asymmetric":
@@ -149,8 +139,8 @@ def prepare_data(cfg, run_seed):
     for g in stream.class_groups:
         mask = np.isin(test.labels_true, g)
         test_sets.append((test.features[mask], test.labels_true[mask]))
-    return SimpleNamespace(train=train, test=test, stream=stream,
-                           test_sets=test_sets, noise_report=noise_report)
+    return SimpleNamespace(train=train, stream=stream, test_sets=test_sets,
+                           noise_report=noise_report)
 
 
 def _accuracy(model, features, labels):
@@ -162,33 +152,29 @@ def _accuracy(model, features, labels):
 def train_task(model, stream, buffer, cfg, spec, t, rngs):
     """One task of training; returns (traces, checkpoint_checks, hash_checks).
 
-    Checkpoint neutrality (forgetting epochs end where they started,
-    bitwise) and buffer immutability across learning epochs are asserted
-    in-run on every epoch of an alternating schedule.
+    An alternating task of two or more epochs is ``frozen``: learning
+    epochs replay from a buffer they must leave unchanged (hash-checked)
+    and only forgetting epochs insert, after which the epoch-start
+    checkpoint is restored (checked bitwise). Any other task inserts in
+    every epoch. Replay is masked to the classes of tasks ``0..t``.
     """
     task_classes = stream.task_classes(t)
-    model.seen_classes.update(task_classes)
-    seen_sorted = tuple(sorted(model.seen_classes))
+    seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
     epochs = cfg.epochs_per_task
-    if spec.alternate:
-        schedule = alternation_schedule(epochs)
-        modes = schedule.modes
-        insert_in_learning = schedule.insert_during_learning
-    else:
-        modes = ("learning",) * epochs
-        insert_in_learning = spec.uses_buffer
+    frozen = spec.alternate and epochs > 1
+    modes = alternation_schedule(epochs) if spec.alternate else ("learning",) * epochs
     traces = []
     ckpt_checks = 0
     hash_checks = 0
     for e, mode in enumerate(modes):
         forgetting = mode == "forgetting"
+        inserting = spec.uses_buffer and (forgetting or not frozen)
         if forgetting:
-            ckpt = save_checkpoint(model, epoch=e)
-        elif spec.alternate and not insert_in_learning:
+            ckpt = save_checkpoint(model)
+        elif frozen:
             pre_hash = buffer.content_hash()
         loss_sum, loss_count = 0.0, 0
         for batch in stream.batches(t, e):
-            inserting = spec.uses_buffer and (forgetting or insert_in_learning)
             if (inserting and spec.selector in ("lass", "abs")
                     and not spec.gdumb and len(buffer)):
                 buffer.refresh_losses(model)
@@ -244,11 +230,11 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
         traces.append(trace)
         if forgetting:
             restore_checkpoint(model, ckpt)
-            if save_checkpoint(model, epoch=e).data != ckpt.data:
+            if save_checkpoint(model).data != ckpt.data:
                 raise NumericalError(
                     f"checkpoint neutrality violated in task {t} epoch {e}")
             ckpt_checks += 1
-        elif spec.alternate and not insert_in_learning:
+        elif frozen:
             if buffer.content_hash() != pre_hash:
                 raise NumericalError(
                     f"buffer mutated during learning epoch {e} of task {t}")
@@ -281,19 +267,12 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
     record = RunRecord(method_label=spec.label, seed=seed,
                        config_key=f"{config_hash(cfg, include_seeds=False)}:{spec.label}",
                        noise_report=data.noise_report)
-    rngs = SimpleNamespace(replay=np.random.default_rng([seed, 21]),
-                           buffer=np.random.default_rng([seed, 22]),
-                           consolidation=np.random.default_rng([seed, 23]))
     model = MLP(data.train.dim, data.train.num_classes, cfg.hidden, cfg.lr,
                 cfg.momentum, seed=[seed, 20])
     t_count = cfg.tasks
 
     if spec.joint:
-        merged = split_tasks(data.train, 1, seed, cfg.epochs_per_task,
-                             cfg.batch_size)
-        plain = PRESETS["finetune"]
-        traces, _, _ = train_task(model, merged, None, cfg, plain, 0, rngs)
-        record.traces = traces
+        record.traces = _fit_joint(model, data.train, cfg, seed)
         record.matrix = AccuracyMatrix(t_count)
         per_task = [_accuracy(model, x, y) for x, y in data.test_sets]
         for j in range(t_count):
@@ -304,6 +283,9 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
             on_task_end(t_count - 1, model, None)
         return record
 
+    rngs = SimpleNamespace(replay=np.random.default_rng([seed, 21]),
+                           buffer=np.random.default_rng([seed, 22]),
+                           consolidation=np.random.default_rng([seed, 23]))
     buffer = MemoryBuffer(cfg.buffer_capacity, data.train.dim) if spec.uses_buffer else None
     record.matrix = AccuracyMatrix(t_count)
     for t in range(t_count):
@@ -322,7 +304,6 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
                 eval_model = MLP(data.train.dim, data.train.num_classes,
                                  cfg.hidden, cfg.gdumb_fit_lr, cfg.momentum,
                                  seed=[seed, 24, t])
-                eval_model.seen_classes.update(model.seen_classes)
                 buffer_fit(eval_model, buffer, cfg.gdumb_fit_epochs,
                            cfg.gdumb_fit_lr, rng=rngs.consolidation)
             row = [_accuracy(eval_model, *data.test_sets[j]) for j in range(t + 1)]
@@ -344,15 +325,18 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
     return record
 
 
+def _fit_joint(model, train, cfg, seed):
+    """Fine-tune ``model`` on all of ``train`` as one task, batch order
+    seeded by ``seed``; returns the epoch traces. Fine-tuning has no
+    buffer, replay or consolidation, so it draws from no generator."""
+    merged = split_tasks(train, 1, seed, cfg.batch_size)
+    return train_task(model, merged, None, cfg, PRESETS["finetune"], 0, None)[0]
+
+
 def train_reference(cfg):
     """Train the clean joint reference model used by the diversity metric."""
     train, _ = load_splits(cfg)
-    merged = split_tasks(train, 1, cfg.dataset_seed, cfg.epochs_per_task,
-                         cfg.batch_size)
     model = MLP(train.dim, train.num_classes, cfg.hidden, cfg.lr, cfg.momentum,
                 seed=[cfg.dataset_seed, 927])
-    rngs = SimpleNamespace(replay=np.random.default_rng([cfg.dataset_seed, 31]),
-                           buffer=np.random.default_rng([cfg.dataset_seed, 32]),
-                           consolidation=np.random.default_rng([cfg.dataset_seed, 33]))
-    train_task(model, merged, None, cfg, PRESETS["finetune"], 0, rngs)
+    _fit_joint(model, train, cfg, cfg.dataset_seed)
     return model

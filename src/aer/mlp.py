@@ -8,9 +8,8 @@ round-trips are unambiguous.
 
 Parameters, momentum buffers and gradients are each one contiguous flat
 vector in the order ``[W0, b0, W1, b1, ...]`` (weights row-major). The
-per-tensor lists ``weights``, ``biases``, ``velocity_w`` and
-``velocity_b`` are reshaped views into those vectors, so an SGD step is a
-few whole-vector operations.
+per-tensor lists ``weights`` and ``biases`` are reshaped views into the
+parameter vector, so an SGD step is a few whole-vector operations.
 """
 
 import functools
@@ -28,13 +27,12 @@ class MLP:
     """Fully-connected ReLU network trained with SGD.
 
     ``hidden`` gives the hidden-layer widths; an empty tuple yields a bare
-    linear classifier. ``seen_classes`` is bookkeeping for masked-loss
-    training and only ever grows.
+    linear classifier.
 
     ``params`` and ``velocity`` are flat float64 vectors laid out as
-    ``[W0, b0, W1, b1, ...]``; ``weights``/``biases`` and
-    ``velocity_w``/``velocity_b`` are views into them. Write through the
-    views (``w[:] = ...``); rebinding a list entry detaches it.
+    ``[W0, b0, W1, b1, ...]``; ``weights``/``biases`` are views into
+    ``params`` and ``views(velocity)`` gives the momentum per tensor. Write
+    through the views (``w[:] = ...``); rebinding a list entry detaches it.
 
     :param in_dim: feature dimensionality
     :param num_classes: size of the output layer
@@ -64,13 +62,10 @@ class MLP:
         self.velocity = np.zeros(end)
         tensors = self.views(self.params)
         self.weights, self.biases = tensors[0::2], tensors[1::2]
-        tensors = self.views(self.velocity)
-        self.velocity_w, self.velocity_b = tensors[0::2], tensors[1::2]
         for w in self.weights:
             w[:] = rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0])
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.seen_classes = set()
 
     def views(self, flat):
         """Per-tensor views ``[W0, b0, W1, b1, ...]`` of a flat vector laid
@@ -203,12 +198,11 @@ def _mask_columns_memo(num_classes, class_mask):
     return cols, allowed
 
 
-def per_sample_ce(logits, labels, class_mask=None):
-    """Per-sample cross-entropy, optionally restricted to a class mask.
+def _checked_ce_inputs(logits, labels, class_mask):
+    """(float64 logits, intp labels, mask columns) of a masked-CE call.
 
-    With a mask, the softmax runs over the masked classes only and the
-    loss is undefined (an error) for labels outside the mask. Losses are
-    clamped at 0 to absorb float cancellation.
+    Every label must lie inside the class mask, or inside 0..C-1 without
+    one: outside it the masked softmax assigns the label no probability.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -221,6 +215,17 @@ def per_sample_ce(logits, labels, class_mask=None):
             raise InputError("label outside 0..C-1")
         bad = labels[~np.isin(labels, cols)][0]
         raise InputError(f"label {bad} outside class mask {cols.tolist()}")
+    return logits, labels, cols
+
+
+def per_sample_ce(logits, labels, class_mask=None):
+    """Per-sample cross-entropy, optionally restricted to a class mask.
+
+    With a mask, the softmax runs over the masked classes only and the
+    loss is undefined (an error) for labels outside the mask. Losses are
+    clamped at 0 to absorb float cancellation.
+    """
+    logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
     # ``sub`` is the fancy-index copy even without a mask: its memory
     # layout fixes the rounding of the row sums below
     sub = logits[:, cols]
@@ -230,10 +235,9 @@ def per_sample_ce(logits, labels, class_mask=None):
 
 
 def ce_gradient(logits, labels, class_mask=None):
-    """Gradient of the batch-mean CE w.r.t. logits; exactly 0 outside the mask."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    cols = _mask_columns(logits.shape[1], class_mask)[0]
+    """Gradient of the batch-mean CE w.r.t. logits; exactly 0 outside the
+    mask. Labels are checked as in ``per_sample_ce``."""
+    logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
     sub = logits[:, cols]
     peak = sub.max(axis=1, keepdims=True)
     expd = np.exp(sub - peak)
@@ -303,14 +307,13 @@ def augment(features, seed, strength):
 class Checkpoint:
     """Serialized parameter snapshot; restores bitwise."""
 
-    __slots__ = ("data", "epoch")
+    __slots__ = ("data",)
 
-    def __init__(self, data, epoch=0):
+    def __init__(self, data):
         self.data = bytes(data)
-        self.epoch = int(epoch)
 
 
-def save_checkpoint(model, epoch=0):
+def save_checkpoint(model):
     """Serialize parameters and momentum buffers.
 
     Byte layout: magic ``AERCKPT1``, little-endian u32 layer count, then per
@@ -324,7 +327,7 @@ def save_checkpoint(model, epoch=0):
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
     parts.append(np.ascontiguousarray(model.velocity, dtype="<f8").tobytes())
-    return Checkpoint(b"".join(parts), epoch)
+    return Checkpoint(b"".join(parts))
 
 
 def restore_checkpoint(model, checkpoint):

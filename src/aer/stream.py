@@ -19,7 +19,6 @@ class Batch:
     features: np.ndarray
     labels: np.ndarray        # noisy labels, the only labels training sees
     true_labels: np.ndarray   # evaluation-only
-    task_ids: np.ndarray
 
     def __len__(self):
         return len(self.features)
@@ -158,14 +157,11 @@ class TaskStream:
     pure function of the stream seed.
     """
 
-    def __init__(self, dataset, class_groups, epochs_per_task, batch_size, seed):
-        if epochs_per_task < 1:
-            raise ConfigError(f"epochs_per_task must be >= 1, got {epochs_per_task}")
+    def __init__(self, dataset, class_groups, batch_size, seed):
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         self.dataset = dataset
         self.class_groups = tuple(tuple(int(c) for c in g) for g in class_groups)
-        self.epochs_per_task = int(epochs_per_task)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
         self._task_indices = [
@@ -191,11 +187,10 @@ class TaskStream:
         ds = self.dataset
         for start in range(0, len(idx), self.batch_size):
             sel = idx[order[start:start + self.batch_size]]
-            yield Batch(ds.features[sel], ds.labels_noisy[sel],
-                        ds.labels_true[sel], np.full(len(sel), t, dtype=np.intp))
+            yield Batch(ds.features[sel], ds.labels_noisy[sel], ds.labels_true[sel])
 
 
-def split_tasks(dataset, num_tasks, seed, epochs_per_task=1, batch_size=32):
+def split_tasks(dataset, num_tasks, seed, batch_size=32):
     """Contiguous class groups assigned to tasks; class count must divide evenly."""
     if num_tasks < 1:
         raise ConfigError(f"num_tasks must be >= 1, got {num_tasks}")
@@ -204,7 +199,7 @@ def split_tasks(dataset, num_tasks, seed, epochs_per_task=1, batch_size=32):
             f"class count {dataset.num_classes} not divisible by {num_tasks} tasks")
     per = dataset.num_classes // num_tasks
     groups = [tuple(range(i * per, (i + 1) * per)) for i in range(num_tasks)]
-    return TaskStream(dataset, groups, epochs_per_task, batch_size, seed)
+    return TaskStream(dataset, groups, batch_size, seed)
 
 
 def inject_noise(dataset, spec, class_groups=None):

@@ -180,9 +180,11 @@ epochs_per_task = {epochs}
 buffer_capacity = {capacity}
 alpha = {alpha}
 lr = {lr}
-seeds = 0
-hidden = 8
+seeds = {seeds}
+hidden = {hidden}
 consolidation = {consolidation}
+gdumb_fit_epochs = {gdumb_epochs}
+gdumb_fit_lr = {gdumb_lr}
 
 [dataset]
 kind = {kind}
@@ -192,10 +194,12 @@ dims = {dims}
 per_class = {per_class}
 tasks = {tasks}
 test_fraction = {test_fraction}
+seed = {dataset_seed}
 
 [noise]
 kind = {noise_kind}
 rate = {noise_rate}
+seed = {noise_seed}
 
 [consolidation]
 epochs = 2
@@ -206,9 +210,11 @@ FIELD = re.compile(r"\b(run|dataset|noise|consolidation)\.\w+")
 def run_cli(tmp, **values):
     """Run ``aer run`` in-process on a generated config; returns (code, stderr)."""
     fields = dict(method="er", batch_size=8, epochs=1, capacity=8, alpha=50,
-                  lr=0.05, consolidation="none", kind="synthetic", path="",
+                  lr=0.05, seeds="0", hidden="8", consolidation="none",
+                  gdumb_epochs=2, gdumb_lr=0.05, kind="synthetic", path="",
                   classes=4, dims=3, per_class=10, tasks=2, test_fraction=0.2,
-                  noise_kind="symmetric", noise_rate=0.2)
+                  dataset_seed=1234, noise_kind="symmetric", noise_rate=0.2,
+                  noise_seed=777)
     fields.update(values)
     cfg = Path(tmp) / "contract.ini"
     cfg.write_text(CONTRACT_RUN.format(**fields))
@@ -280,12 +286,18 @@ BOUNDARY_VALUES = {
     "alpha": [0, 100], "lr": [0.05, 1e300], "tasks": [1, 2],
     "test_fraction": [0.2, 0.5, 0.9], "noise_kind": ["symmetric", "asymmetric"],
     "noise_rate": [0, 0.5, 1], "classes": [2, 4], "dims": [1, 3],
-    "per_class": [4, 10],
+    "per_class": [4, 10], "seeds": ["0", "1,0"], "hidden": ["", "1", "8,1"],
+    "dataset_seed": [0, 7], "noise_seed": [0, 11], "gdumb_epochs": [0, 2],
+    "gdumb_lr": [1e-300, 0.05],
 }
 OUT_OF_RANGE = [("batch_size", 0), ("epochs", 0), ("capacity", 0), ("alpha", -1),
                 ("alpha", 101), ("lr", 0), ("tasks", 0), ("test_fraction", 0),
                 ("test_fraction", 1), ("noise_rate", 1.5), ("classes", 1),
-                ("dims", 0), ("per_class", 0), ("method", "nope")]
+                ("dims", 0), ("per_class", 0), ("method", "nope"),
+                ("seeds", "-1"), ("seeds", "0,0"), ("hidden", "0"),
+                ("hidden", "4,0"), ("hidden", "-2"), ("dataset_seed", -5),
+                ("noise_seed", -3), ("gdumb_epochs", -3), ("gdumb_lr", -1),
+                ("gdumb_lr", 0)]
 
 
 @given(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in BOUNDARY_VALUES.items()}),

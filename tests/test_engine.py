@@ -26,12 +26,12 @@ def make_rngs(seed=0):
 
 
 def test_schedule_e4_alternates():
-    assert alternation_schedule(4).modes == ("learning", "forgetting",
-                                             "learning", "forgetting")
+    assert alternation_schedule(4) == ("learning", "forgetting",
+                                       "learning", "forgetting")
 
 
 def test_schedule_e5_has_three_learning():
-    modes = alternation_schedule(5).modes
+    modes = alternation_schedule(5)
     assert modes.count("learning") == 3
     assert modes.count("forgetting") == 2
     assert modes[0] == "learning"
@@ -39,16 +39,34 @@ def test_schedule_e5_has_three_learning():
 
 def test_schedule_balanced_counts():
     for e in range(2, 12):
-        modes = alternation_schedule(e).modes
+        modes = alternation_schedule(e)
         assert modes.count("learning") - modes.count("forgetting") in (0, 1)
         assert all(a != b for a, b in zip(modes, modes[1:]))
 
 
 def test_schedule_single_epoch_degenerates_with_warning():
     with pytest.warns(UserWarning):
-        sched = alternation_schedule(1)
-    assert sched.modes == ("learning",)
-    assert sched.insert_during_learning
+        modes = alternation_schedule(1)
+    assert modes == ("learning",)
+
+
+@pytest.mark.filterwarnings("ignore:single-epoch task")
+@pytest.mark.parametrize("epochs, ckpt_checks, hash_checks", [(1, 0, 0), (2, 1, 1)])
+def test_alternating_task_inserts_and_checks_by_epoch_count(epochs, ckpt_checks,
+                                                            hash_checks):
+    """One epoch cannot alternate, so it inserts while learning and checks
+    nothing; two epochs freeze the buffer for learning, insert while
+    forgetting, and take one checkpoint and one hash check."""
+    cfg = tiny_cfg(epochs_per_task=epochs)
+    data = prepare_data(cfg, 0)
+    model = MLP(cfg.dims, cfg.classes, cfg.hidden, cfg.lr, seed=[0, 20])
+    buf = MemoryBuffer(cfg.buffer_capacity, cfg.dims)
+    rngs = make_rngs()
+    for t in range(cfg.tasks):
+        _, ckpts, hashes = train_task(model, data.stream, buf, cfg,
+                                      PRESETS["aer_abs"], t, rngs)
+        assert len(buf) > 0 and t in buf.task_ids[:buf.size]
+        assert (ckpts, hashes) == (ckpt_checks, hash_checks)
 
 
 def test_schedule_zero_epochs_is_error():
@@ -142,6 +160,20 @@ def test_task0_with_empty_buffer_trains_plain():
     assert rec.matrix.entry(0, 0) > 0.4
 
 
+def test_replay_mask_covers_earlier_tasks_for_a_fresh_model():
+    """The replay mask is the classes of tasks 0..t, taken from the stream,
+    so a model that never trained task 0 replays task-0 entries at t = 1."""
+    cfg = tiny_cfg(method="er_ace")
+    data = prepare_data(cfg, 0)
+    buf = MemoryBuffer(cfg.buffer_capacity, cfg.dims)
+    for c in data.stream.task_classes(0):
+        buf.add(np.zeros(cfg.dims), c, c, 0, 0.0)
+    model = MLP(cfg.dims, cfg.classes, cfg.hidden, cfg.lr, seed=[0, 20])
+    traces, _, _ = train_task(model, data.stream, buf, cfg, PRESETS["er_ace"], 1,
+                              make_rngs())
+    assert len(traces) == cfg.epochs_per_task
+
+
 def test_true_labels_never_influence_training():
     cfg = tiny_cfg()
     data = prepare_data(cfg, 0)
@@ -154,7 +186,7 @@ def test_true_labels_never_influence_training():
                                      data.train.labels_true.copy(),
                                      data.train.labels_noisy.copy(),
                                      data.train.num_classes),
-                             cfg.tasks, 0, cfg.epochs_per_task, cfg.batch_size)
+                             cfg.tasks, 0, cfg.batch_size)
         stream.dataset.labels_true[:] = true_labels
         model = MLP(cfg.dims, cfg.classes, cfg.hidden, cfg.lr, seed=[0, 20])
         buf = MemoryBuffer(cfg.buffer_capacity, cfg.dims)

@@ -177,7 +177,7 @@ def test_batches_partition_task_each_epoch():
     batches = list(stream.batches(1, 2))
     assert sum(len(b) for b in batches) == stream.task_size(1) == 50
     assert [len(b) for b in batches] == [16, 16, 16, 2]
-    assert all(np.all(b.task_ids == 1) for b in batches)
+    assert all(np.isin(b.true_labels, stream.task_classes(1)).all() for b in batches)
 
 
 def test_batch_order_depends_only_on_seed_task_epoch():
