@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .config import PRESETS, MethodSpec, config_hash, load_config
+from .config import PRESETS, MethodSpec, config_hash, load_config, parse_option
 from .engine import resolve_method, run_single, train_reference
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .metrics import aggregate_seeds, write_summary_csv, write_trace_csv, write_trace_jsonl
@@ -55,14 +55,14 @@ def build_parser():
     return parser
 
 
-def _parse_seed_list(text):
+def _apply_flag(cfg, flag, ini, text):
+    """``cfg`` with option ``ini`` parsed from a flag's text and validated;
+    a ``ConfigError`` names the flag before the option."""
     try:
-        seeds = tuple(int(s) for s in text.replace(" ", "").split(",") if s)
-    except ValueError:
-        raise ConfigError(f"--seeds: cannot parse {text!r}") from None
-    if not seeds:
-        raise ConfigError("--seeds: need at least one seed")
-    return seeds
+        name, value = parse_option(ini, text)
+        return dataclasses.replace(cfg, **{name: value}).validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _resolve_out_dir(arg_out, cfg, command):
@@ -164,17 +164,11 @@ def _variants(args, cfg):
     spec = resolve_method(cfg.method)
     if args.command == "run":
         return [(cfg.method, cfg, spec)]
-    try:
-        alphas = [float(a) for a in args.alphas.replace(" ", "").split(",") if a]
-    except ValueError:
-        raise ConfigError(f"--alphas: cannot parse {args.alphas!r}") from None
-    if not alphas:
+    cfgs = [_apply_flag(cfg, "--alphas", "run.alpha", a)
+            for a in args.alphas.replace(" ", "").split(",") if a]
+    if not cfgs:
         raise ConfigError("--alphas: need at least one value")
-    for a in alphas:
-        if not 0 <= a <= 100:
-            raise ConfigError(f"--alphas: {a} outside [0, 100]")
-    return [(f"alpha={a:g}", dataclasses.replace(cfg, alpha=a).validate(), spec)
-            for a in alphas]
+    return [(f"alpha={c.alpha:g}", c, spec) for c in cfgs]
 
 
 def run_command(args):
@@ -182,7 +176,7 @@ def run_command(args):
     print their summary rows."""
     cfg = load_config(args.config)
     if args.seeds:
-        cfg = dataclasses.replace(cfg, seeds=_parse_seed_list(args.seeds)).validate()
+        cfg = _apply_flag(cfg, "--seeds", "run.seeds", args.seeds)
     variants = _variants(args, cfg)
     out_dir = _resolve_out_dir(args.out, cfg, args.command)
     rows = _run_variants(cfg, variants, out_dir)

@@ -5,6 +5,10 @@ The config file is a flat INI document with one section per concern
 (``run``, ``dataset``, ``noise``, ``consolidation``); every omitted key
 falls back to the documented default and the resolved values are echoed
 into the experiment manifest.
+
+Each option is declared once, as a ``RunConfig`` field that carries its
+``section.key`` INI name, default and single-value rule; the INI key table,
+the parsing by type and the single-value checks are derived from the fields.
 """
 
 import configparser
@@ -59,70 +63,86 @@ PRESETS = {
 }
 
 
+def _option(ini, default, rule=None):
+    """A config field: its ``section.key`` INI name, its default and an
+    optional single-value rule ``(words, is_bad)``, reported as
+    ``<ini>: must be <words>, got <value>`` when ``is_bad(value)``."""
+    return dataclasses.field(default=default, metadata={"ini": ini, "rule": rule})
+
+
+def _ge(lo):
+    return f">= {lo}", lambda v: v < lo
+
+
+def _gt(lo):
+    return f"> {lo}", lambda v: v <= lo
+
+
+def _one_of(choices, words=None):
+    return words or "one of " + ", ".join(choices), lambda v: v not in choices
+
+
 @dataclass
 class RunConfig:
     """Flattened experiment configuration with documented defaults.
 
+    Every field declares one INI option here and nowhere else (``_option``).
     A single ``batch_size`` covers both the stream and the replay draw.
     """
-    # run
-    method: str = "aer_abs"
-    lr: float = 0.03
-    momentum: float = 0.0
-    batch_size: int = 32
-    epochs_per_task: int = 10
-    buffer_capacity: int = 500
-    alpha: float = 75.0
-    seeds: tuple = (0, 1, 2, 3, 4)
-    consolidation: str = "none"
-    hidden: tuple = (64, 64)
-    gdumb_fit_epochs: int = 30
-    gdumb_fit_lr: float = 0.05
-    # dataset
-    dataset_kind: str = "synthetic"
-    classes: int = 10
-    dims: int = 16
-    per_class: int = 500
-    cluster_spread: float = 1.0
-    tasks: int = 5
-    test_fraction: float = 0.2
-    dataset_seed: int = 1234
-    dataset_path: str = None
-    standardize_features: bool = True
-    # noise
-    noise_kind: str = "symmetric"
-    noise_rate: float = 0.4
-    noise_seed: int = 777
-    superclass_spec: str = None
-    # consolidation
-    consolidation_epochs: int = 255
-    consolidation_lr: float = 0.05
-    consolidation_batch: int = 64
-    lambda_u: float = 0.01
-    temperature: float = 0.5
-    mixup_alpha: float = 0.75
-    gmm_threshold: float = 0.5
-    num_augments: int = 3
-    augment_strength: float = 0.1
+    method: str = _option("run.method", "aer_abs", _one_of(PRESETS))
+    lr: float = _option("run.lr", 0.03, _gt(0))
+    momentum: float = _option("run.momentum", 0.0, ("in [0, 1)", lambda v: v < 0 or v >= 1))
+    batch_size: int = _option("run.batch_size", 32, _ge(1))
+    epochs_per_task: int = _option("run.epochs_per_task", 10, _ge(1))
+    buffer_capacity: int = _option("run.buffer_capacity", 500, _ge(1))
+    alpha: float = _option("run.alpha", 75.0,
+                           ("within [0, 100]", lambda v: not 0 <= v <= 100))
+    seeds: tuple = _option("run.seeds", (0, 1, 2, 3, 4))
+    consolidation: str = _option("run.consolidation", "none", _one_of(CONSOLIDATION_MODES))
+    hidden: tuple = _option("run.hidden", (64, 64))
+    gdumb_fit_epochs: int = _option("run.gdumb_fit_epochs", 30, _ge(0))
+    gdumb_fit_lr: float = _option("run.gdumb_fit_lr", 0.05, _gt(0))
+    dataset_kind: str = _option("dataset.kind", "synthetic",
+                                _one_of(("synthetic", "csv"), "synthetic|csv"))
+    classes: int = _option("dataset.classes", 10)
+    dims: int = _option("dataset.dims", 16)
+    per_class: int = _option("dataset.per_class", 500)
+    cluster_spread: float = _option("dataset.cluster_spread", 1.0)
+    tasks: int = _option("dataset.tasks", 5, _ge(1))
+    test_fraction: float = _option("dataset.test_fraction", 0.2,
+                                   ("in (0, 1)", lambda v: not 0 < v < 1))
+    dataset_seed: int = _option("dataset.seed", 1234, _ge(0))
+    dataset_path: str = _option("dataset.path", None)
+    standardize_features: bool = _option("dataset.standardize", True)
+    noise_kind: str = _option("noise.kind", "symmetric",
+                              _one_of(("symmetric", "asymmetric"), "symmetric|asymmetric"))
+    noise_rate: float = _option("noise.rate", 0.4, ("in [0, 1]", lambda v: not 0 <= v <= 1))
+    noise_seed: int = _option("noise.seed", 777, _ge(0))
+    superclass_spec: str = _option("noise.superclasses", None)
+    consolidation_epochs: int = _option("consolidation.epochs", 255, _ge(0))
+    consolidation_lr: float = _option("consolidation.lr", 0.05, _gt(0))
+    consolidation_batch: int = _option("consolidation.batch_size", 64, _ge(1))
+    lambda_u: float = _option("consolidation.lambda_u", 0.01, _ge(0))
+    temperature: float = _option("consolidation.temperature", 0.5, _gt(0))
+    mixup_alpha: float = _option("consolidation.mixup_alpha", 0.75, _gt(0))
+    gmm_threshold: float = _option("consolidation.threshold", 0.5,
+                                   ("in (0, 1)", lambda v: not 0 < v < 1))
+    num_augments: int = _option("consolidation.num_augments", 3, _ge(1))
+    augment_strength: float = _option("consolidation.augment_strength", 0.1, _ge(0))
 
     def validate(self):
+        """Check every field's single-value rule, then the rules that span
+        fields or hold for one dataset kind only; returns ``self``."""
         def bad(field, msg):
             raise ConfigError(f"{field}: {msg}")
 
-        if self.method not in PRESETS:
-            bad("run.method", f"must be one of {', '.join(PRESETS)}, got {self.method!r}")
-        if self.lr <= 0:
-            bad("run.lr", f"must be > 0, got {self.lr}")
-        if self.momentum < 0 or self.momentum >= 1:
-            bad("run.momentum", f"must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            bad("run.batch_size", f"must be >= 1, got {self.batch_size}")
-        if self.epochs_per_task < 1:
-            bad("run.epochs_per_task", f"must be >= 1, got {self.epochs_per_task}")
-        if self.buffer_capacity < 1:
-            bad("run.buffer_capacity", f"must be >= 1, got {self.buffer_capacity}")
-        if not 0 <= self.alpha <= 100:
-            bad("run.alpha", f"must be within [0, 100], got {self.alpha}")
+        for f in dataclasses.fields(self):
+            if f.metadata["rule"] is not None:
+                words, is_bad = f.metadata["rule"]
+                value = getattr(self, f.name)
+                if is_bad(value):
+                    shown = repr(value) if f.type is str else value
+                    bad(f.metadata["ini"], f"must be {words}, got {shown}")
         if not self.seeds:
             bad("run.seeds", "need at least one seed")
         if min(self.seeds) < 0:
@@ -131,22 +151,11 @@ class RunConfig:
             bad("run.seeds", f"must be distinct, got {list(self.seeds)}")
         if any(h < 1 for h in self.hidden):
             bad("run.hidden", f"each width must be >= 1, got {list(self.hidden)}")
-        if self.gdumb_fit_epochs < 0:
-            bad("run.gdumb_fit_epochs", f"must be >= 0, got {self.gdumb_fit_epochs}")
-        if self.gdumb_fit_lr <= 0:
-            bad("run.gdumb_fit_lr", f"must be > 0, got {self.gdumb_fit_lr}")
-        if self.consolidation not in CONSOLIDATION_MODES:
-            bad("run.consolidation",
-                f"must be one of {', '.join(CONSOLIDATION_MODES)}, got {self.consolidation!r}")
         if self.consolidation != "none" and not PRESETS[self.method].consolidates:
             bad("run.consolidation",
                 f"{self.method} has no rehearsal buffer to consolidate")
-        if self.dataset_kind not in ("synthetic", "csv"):
-            bad("dataset.kind", f"must be synthetic|csv, got {self.dataset_kind!r}")
         if self.dataset_kind == "csv" and not self.dataset_path:
             bad("dataset.path", "required when dataset.kind = csv")
-        if self.tasks < 1:
-            bad("dataset.tasks", f"must be >= 1, got {self.tasks}")
         if self.dataset_kind == "synthetic":
             if self.classes < 2:
                 bad("dataset.classes", f"must be >= 2, got {self.classes}")
@@ -159,40 +168,10 @@ class RunConfig:
             if self.classes % self.tasks:
                 bad("dataset.tasks",
                     f"{self.classes} classes not divisible by {self.tasks} tasks")
-        if self.dataset_seed < 0:
-            bad("dataset.seed", f"must be >= 0, got {self.dataset_seed}")
-        if not 0 < self.test_fraction < 1:
-            bad("dataset.test_fraction", f"must be in (0, 1), got {self.test_fraction}")
-        if (self.dataset_kind == "synthetic"
-                and int(self.test_fraction * self.per_class) < 1):
-            bad("dataset.test_fraction",
-                f"{self.test_fraction} of {self.per_class} examples per class "
-                "leaves no test example")
-        if self.noise_kind not in ("symmetric", "asymmetric"):
-            bad("noise.kind", f"must be symmetric|asymmetric, got {self.noise_kind!r}")
-        if not 0 <= self.noise_rate <= 1:
-            bad("noise.rate", f"must be in [0, 1], got {self.noise_rate}")
-        if self.noise_seed < 0:
-            bad("noise.seed", f"must be >= 0, got {self.noise_seed}")
-        if self.consolidation_epochs < 0:
-            bad("consolidation.epochs", f"must be >= 0, got {self.consolidation_epochs}")
-        if self.consolidation_lr <= 0:
-            bad("consolidation.lr", f"must be > 0, got {self.consolidation_lr}")
-        if self.consolidation_batch < 1:
-            bad("consolidation.batch_size", f"must be >= 1, got {self.consolidation_batch}")
-        if self.lambda_u < 0:
-            bad("consolidation.lambda_u", f"must be >= 0, got {self.lambda_u}")
-        if self.temperature <= 0:
-            bad("consolidation.temperature", f"must be > 0, got {self.temperature}")
-        if self.mixup_alpha <= 0:
-            bad("consolidation.mixup_alpha", f"must be > 0, got {self.mixup_alpha}")
-        if not 0 < self.gmm_threshold < 1:
-            bad("consolidation.threshold", f"must be in (0, 1), got {self.gmm_threshold}")
-        if self.num_augments < 1:
-            bad("consolidation.num_augments", f"must be >= 1, got {self.num_augments}")
-        if self.augment_strength < 0:
-            bad("consolidation.augment_strength",
-                f"must be >= 0, got {self.augment_strength}")
+            if int(self.test_fraction * self.per_class) < 1:
+                bad("dataset.test_fraction",
+                    f"{self.test_fraction} of {self.per_class} examples per class "
+                    "leaves no test example")
         return self
 
     def as_dict(self):
@@ -230,73 +209,26 @@ def parse_superclasses(text, num_classes):
     return mapping
 
 
-_SECTION_FIELDS = {
-    "run": {
-        "method": ("method", str),
-        "lr": ("lr", float),
-        "momentum": ("momentum", float),
-        "batch_size": ("batch_size", int),
-        "epochs_per_task": ("epochs_per_task", int),
-        "buffer_capacity": ("buffer_capacity", int),
-        "alpha": ("alpha", float),
-        "seeds": ("seeds", "int_tuple"),
-        "consolidation": ("consolidation", str),
-        "hidden": ("hidden", "int_tuple"),
-        "gdumb_fit_epochs": ("gdumb_fit_epochs", int),
-        "gdumb_fit_lr": ("gdumb_fit_lr", float),
-    },
-    "dataset": {
-        "kind": ("dataset_kind", str),
-        "classes": ("classes", int),
-        "dims": ("dims", int),
-        "per_class": ("per_class", int),
-        "cluster_spread": ("cluster_spread", float),
-        "tasks": ("tasks", int),
-        "test_fraction": ("test_fraction", float),
-        "seed": ("dataset_seed", int),
-        "path": ("dataset_path", str),
-        "standardize": ("standardize_features", "bool"),
-    },
-    "noise": {
-        "kind": ("noise_kind", str),
-        "rate": ("noise_rate", float),
-        "seed": ("noise_seed", int),
-        "superclasses": ("superclass_spec", str),
-    },
-    "consolidation": {
-        "epochs": ("consolidation_epochs", int),
-        "lr": ("consolidation_lr", float),
-        "batch_size": ("consolidation_batch", int),
-        "lambda_u": ("lambda_u", float),
-        "temperature": ("temperature", float),
-        "mixup_alpha": ("mixup_alpha", float),
-        "threshold": ("gmm_threshold", float),
-        "num_augments": ("num_augments", int),
-        "augment_strength": ("augment_strength", float),
-    },
-}
+_FIELD_BY_INI = {f.metadata["ini"]: f for f in dataclasses.fields(RunConfig)}
+_SECTIONS = {ini.split(".")[0] for ini in _FIELD_BY_INI}
 
 
-def _coerce(field, raw, kind):
+def parse_option(ini, raw):
+    """Parse the text ``raw`` of INI option ``ini`` (``section.key``) by its
+    field's type; returns ``(field name, value)``."""
+    if ini not in _FIELD_BY_INI:
+        raise ConfigError(f"{ini}: unknown option")
+    field = _FIELD_BY_INI[ini]
     try:
-        if kind is str:
-            return raw.strip()
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "int_tuple":
-            return tuple(int(v) for v in raw.replace(" ", "").split(",") if v)
-    except ValueError:
-        raise ConfigError(f"{field}: cannot parse {raw!r}") from None
-    raise AssertionError(kind)
+        if field.type is bool:
+            value = configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        elif field.type is tuple:
+            value = tuple(int(v) for v in raw.replace(" ", "").split(",") if v)
+        else:
+            value = raw.strip() if field.type is str else field.type(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{ini}: cannot parse {raw!r}") from None
+    return field.name, value
 
 
 def load_config(path):
@@ -311,13 +243,8 @@ def load_config(path):
         raise ConfigError(f"config file {path}: {exc}") from None
     values = {}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SECTION_FIELDS[section]:
-                raise ConfigError(f"{section}.{key}: unknown option")
-            field, kind = _SECTION_FIELDS[section][key]
-            values[field] = _coerce(f"{section}.{key}", raw, kind)
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+        values.update(parse_option(f"{section}.{key}", raw)
+                      for key, raw in parser.items(section))
+    return RunConfig(**values).validate()

@@ -111,7 +111,7 @@ def sharpen(probs, temperature):
 
 
 def corefine_labels(model, features, noisy_labels, posterior_low, num_classes,
-                    num_augments=3, augment_strength=0.1, rng=None):
+                    num_augments=3, augment_strength=0.1, *, rng):
     """Blend stored one-hot labels with averaged augmented predictions.
 
     Each refined row is u * onehot(label) + (1 - u) * mean over
@@ -119,7 +119,6 @@ def corefine_labels(model, features, noisy_labels, posterior_low, num_classes,
     """
     if num_augments < 1:
         raise InputError(f"num_augments must be >= 1, got {num_augments}")
-    rng = rng if rng is not None else np.random.default_rng(0)
     features = np.asarray(features, dtype=np.float64)
     u = np.asarray(posterior_low, dtype=np.float64)[:, None]
     onehot = np.eye(num_classes)[np.asarray(noisy_labels, dtype=np.intp)]
@@ -134,12 +133,11 @@ def _cosine_lr(base, step, total):
     return base * 0.5 * (1.0 + math.cos(math.pi * step / max(total, 1)))
 
 
-def buffer_fit(model, buffer, epochs, lr, batch_size=64, rng=None):
+def buffer_fit(model, buffer, epochs, lr, batch_size=64, *, rng):
     """Plain supervised fine-tuning on the buffer with cosine-decayed lr."""
     if len(buffer) == 0:
         warnings.warn("buffer_fit on an empty buffer is a no-op")
         return model
-    rng = rng if rng is not None else np.random.default_rng(0)
     x = buffer.features[:buffer.size]
     y = buffer.labels[:buffer.size]
     for epoch in range(epochs):
@@ -175,13 +173,13 @@ def _fallback_fit(model, buffer, cfg, rng, report, reason):
     """Consolidate with ``buffer_fit`` when no mixture split is usable."""
     warnings.warn(f"{reason}; falling back to buffer_fit")
     buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
-               cfg.consolidation_batch, rng)
+               cfg.consolidation_batch, rng=rng)
     report["fallback"] = "buffer_fit"
     report["post"] = _buffer_accuracy(model, buffer)
     return report
 
 
-def mixmatch_consolidate(model, buffer, cfg, rng=None):
+def mixmatch_consolidate(model, buffer, cfg, rng):
     """Semi-supervised consolidation on the buffer; returns a report dict.
 
     Losses are recomputed with a fresh forward pass, split by a
@@ -198,7 +196,6 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     the mixup arithmetic runs once over the epoch's stacked rows; each SGD
     step then trains on its contiguous slice.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     report = {"kind": "mixmatch", "fallback": None}
     if len(buffer) == 0:
         warnings.warn("consolidation skipped: empty buffer")
@@ -229,7 +226,7 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     if len(uncertain):
         refined = corefine_labels(model, x[uncertain], y[uncertain],
                                   fit.posterior_low[uncertain], c,
-                                  cfg.num_augments, cfg.augment_strength, rng)
+                                  cfg.num_augments, cfg.augment_strength, rng=rng)
         targets[uncertain] = sharpen(refined, cfg.temperature)
 
     batch = cfg.consolidation_batch
@@ -264,14 +261,14 @@ def mixmatch_consolidate(model, buffer, cfg, rng=None):
     return report
 
 
-def consolidate(model, buffer, cfg, rng=None):
+def consolidate(model, buffer, cfg, rng):
     """Dispatch on ``cfg.consolidation``; returns the report dict."""
     if cfg.consolidation == "buffer_fit":
         report = {"kind": "buffer_fit", "fallback": None}
         if len(buffer):
             report["pre"] = _buffer_accuracy(model, buffer)
         buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
-                   cfg.consolidation_batch, rng)
+                   cfg.consolidation_batch, rng=rng)
         if len(buffer):
             report["post"] = _buffer_accuracy(model, buffer)
         return report

@@ -98,6 +98,9 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("[run]\nmethox = er\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "run.methox" in capsys.readouterr().err
+    cfg.write_text("[run]\nkind = csv\n")  # a dataset key under the wrong section
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "run.kind: unknown option" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -330,3 +333,19 @@ def test_empty_synthetic_test_split_is_rejected_before_training(tmp_path):
     assert code == 2
     assert "dataset.test_fraction" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, text, message", [
+    (["run"], "--seeds", "-1", "--seeds: run.seeds: must be >= 0, got -1"),
+    (["run"], "--seeds", "0,0", "--seeds: run.seeds: must be distinct, got [0, 0]"),
+    (["run"], "--seeds", "a", "--seeds: run.seeds: cannot parse 'a'"),
+    (["sweep-alpha"], "--alphas", "0,101",
+     "--alphas: run.alpha: must be within [0, 100], got 101.0"),
+])
+def test_bad_flag_value_exits_2_naming_the_flag(tiny_config, tmp_path, capsys,
+                                               command, flag, text, message):
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(tiny_config), flag, text,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()

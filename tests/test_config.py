@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from aer.config import RunConfig, config_hash, load_config, parse_superclasses
@@ -100,3 +104,77 @@ def test_inline_comments_are_stripped(tmp_path):
     cfg = load_config(path)
     assert cfg.lr == 0.05
     assert cfg.seeds == (1, 2)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_ini_block_lists_every_option_and_loads_to_defaults(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    keys, section = set(), None
+    for line in block.splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = m.group(1)
+        elif m := re.match(r";?\s*(\w+)\s*=", line):
+            keys.add(f"{section}.{m.group(1)}")
+    assert keys == {f.metadata["ini"] for f in dataclasses.fields(RunConfig)}
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert load_config(path) == RunConfig()
+
+
+# (INI key, text, RunConfig field, parsed value); every value differs from
+# its default, and together they pass validation
+EVERY_KEY = [
+    ("run.method", "aer_lass", "method", "aer_lass"),
+    ("run.lr", "0.1", "lr", 0.1),
+    ("run.momentum", "0.9", "momentum", 0.9),
+    ("run.batch_size", "16", "batch_size", 16),
+    ("run.epochs_per_task", "3", "epochs_per_task", 3),
+    ("run.buffer_capacity", "200", "buffer_capacity", 200),
+    ("run.alpha", "60", "alpha", 60.0),
+    ("run.seeds", "7, 3", "seeds", (7, 3)),
+    ("run.consolidation", "mixmatch", "consolidation", "mixmatch"),
+    ("run.hidden", "32,16,8", "hidden", (32, 16, 8)),
+    ("run.gdumb_fit_epochs", "5", "gdumb_fit_epochs", 5),
+    ("run.gdumb_fit_lr", "0.2", "gdumb_fit_lr", 0.2),
+    ("dataset.kind", "csv", "dataset_kind", "csv"),
+    ("dataset.classes", "6", "classes", 6),
+    ("dataset.dims", "4", "dims", 4),
+    ("dataset.per_class", "50", "per_class", 50),
+    ("dataset.cluster_spread", "2.5", "cluster_spread", 2.5),
+    ("dataset.tasks", "3", "tasks", 3),
+    ("dataset.test_fraction", "0.3", "test_fraction", 0.3),
+    ("dataset.seed", "99", "dataset_seed", 99),
+    ("dataset.path", "data/x.csv", "dataset_path", "data/x.csv"),
+    ("dataset.standardize", "off", "standardize_features", False),
+    ("noise.kind", "asymmetric", "noise_kind", "asymmetric"),
+    ("noise.rate", "0.25", "noise_rate", 0.25),
+    ("noise.seed", "5", "noise_seed", 5),
+    ("noise.superclasses", "0:0,1:0,2:1,3:1", "superclass_spec", "0:0,1:0,2:1,3:1"),
+    ("consolidation.epochs", "12", "consolidation_epochs", 12),
+    ("consolidation.lr", "0.01", "consolidation_lr", 0.01),
+    ("consolidation.batch_size", "16", "consolidation_batch", 16),
+    ("consolidation.lambda_u", "0.5", "lambda_u", 0.5),
+    ("consolidation.temperature", "0.7", "temperature", 0.7),
+    ("consolidation.mixup_alpha", "0.4", "mixup_alpha", 0.4),
+    ("consolidation.threshold", "0.8", "gmm_threshold", 0.8),
+    ("consolidation.num_augments", "2", "num_augments", 2),
+    ("consolidation.augment_strength", "0.3", "augment_strength", 0.3),
+]
+
+
+def test_every_field_round_trips_through_its_ini_key(tmp_path):
+    assert {field for _, _, field, _ in EVERY_KEY} == {
+        f.name for f in dataclasses.fields(RunConfig)}
+    defaults = RunConfig()
+    sections = {}
+    for ini, text, field, value in EVERY_KEY:
+        assert getattr(defaults, field) != value, field
+        section, key = ini.split(".")
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    path = tmp_path / "every.ini"
+    path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+    cfg = load_config(path)
+    assert dataclasses.asdict(cfg) == {field: value for _, _, field, value in EVERY_KEY}
+    assert cfg == RunConfig(**{field: value for _, _, field, value in EVERY_KEY})

@@ -220,7 +220,7 @@ def reference_mixmatch_consolidate(model, buffer, cfg, rng):
     if len(uncertain):
         refined = corefine_labels(model, x[uncertain], y[uncertain],
                                   fit.posterior_low[uncertain], c,
-                                  cfg.num_augments, cfg.augment_strength, rng)
+                                  cfg.num_augments, cfg.augment_strength, rng=rng)
         targets[uncertain] = sharpen(refined, cfg.temperature)
     batch = cfg.consolidation_batch
     for epoch in range(cfg.consolidation_epochs):
@@ -308,7 +308,8 @@ def test_buffer_fit_empty_buffer_warns_noop():
     model = MLP(4, 4, hidden=(8,), lr=0.1, seed=0)
     before = save_checkpoint(model).data
     with pytest.warns(UserWarning):
-        buffer_fit(model, MemoryBuffer(4, 4), epochs=3, lr=0.1)
+        buffer_fit(model, MemoryBuffer(4, 4), epochs=3, lr=0.1,
+                   rng=np.random.default_rng(0))
     assert save_checkpoint(model).data == before
 
 

@@ -1,13 +1,15 @@
 """One output digest per CLI path, for byte-identity checks across changes.
 
-Runs small configurations through ``aer.cli.main`` in this process and
-prints ``<name> <sha256>`` per configuration. Each digest covers every
-output file except ``manifest.json`` (it carries a timestamp), by relative
-path and content, plus the command's stdout with the output directory
-masked. Together the configurations cover the paths the benchmark
-workloads leave out: every method, both consolidation modes, single-epoch
-and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV datasets and
-asymmetric noise.
+Runs small configurations through ``aer.cli.main`` in this process, from
+inside a temporary directory so that every path is relative, and prints
+``<name> <sha256>`` per configuration. Each digest covers every output
+file by relative path and content (``manifest.json`` without its
+``created_utc`` timestamp, so the resolved config and its hash count) plus
+the command's stdout. Together the configurations cover the paths the
+benchmark workloads leave out: every method, both consolidation modes,
+single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
+datasets and asymmetric noise; ``all-keys`` sets every INI key to a valid
+non-default value.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -18,6 +20,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
 import tempfile
 import warnings
@@ -45,29 +49,46 @@ CONFIGS.update({
                                   ("run", "epochs_per_task"): "3"}),
     "sweep-alpha": (["sweep-alpha", "--alphas", "0,50,90"], {}),
     "ablate": (["ablate"], {}),
-    "csv": (["run"], {("dataset", "kind"): "csv"}),
+    "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}),
     "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}),
+    "all-keys": (["run"], {
+        ("run", "method"): "aer_lass", ("run", "lr"): "0.05", ("run", "momentum"): "0.5",
+        ("run", "batch_size"): "12", ("run", "epochs_per_task"): "3",
+        ("run", "buffer_capacity"): "60", ("run", "alpha"): "60", ("run", "seeds"): "2,1",
+        ("run", "consolidation"): "mixmatch", ("run", "hidden"): "16,8",
+        ("run", "gdumb_fit_epochs"): "5", ("run", "gdumb_fit_lr"): "0.1",
+        ("dataset", "kind"): "csv", ("dataset", "classes"): "6", ("dataset", "dims"): "4",
+        ("dataset", "per_class"): "20", ("dataset", "cluster_spread"): "1.5",
+        ("dataset", "tasks"): "2", ("dataset", "test_fraction"): "0.25",
+        ("dataset", "seed"): "99", ("dataset", "path"): "data.csv",
+        ("dataset", "standardize"): "false",
+        ("noise", "kind"): "asymmetric", ("noise", "rate"): "0.3", ("noise", "seed"): "5",
+        ("noise", "superclasses"): "0:0,1:0,2:0,3:1,4:1,5:2,6:2,7:3,8:3,9:3",
+        ("consolidation", "epochs"): "3", ("consolidation", "lr"): "0.02",
+        ("consolidation", "batch_size"): "16", ("consolidation", "lambda_u"): "0.1",
+        ("consolidation", "temperature"): "0.4", ("consolidation", "mixup_alpha"): "0.5",
+        ("consolidation", "threshold"): "0.6", ("consolidation", "num_augments"): "2",
+        ("consolidation", "augment_strength"): "0.2"}),
 })
 
 
-def _write_ini(path, overrides, csv_path):
+def _write_ini(path, overrides):
     sections = {s: dict(kv) for s, kv in BASE.items()}
     for (section, key), value in overrides.items():
         sections.setdefault(section, {})[key] = value
-    if sections["dataset"].get("kind") == "csv":
-        sections["dataset"] = {"kind": "csv", "path": str(csv_path), "tasks": "5"}
     path.write_text("".join(
         f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
         for s, kv in sections.items()))
 
 
-def digest(name, command, overrides, work):
-    """Run one configuration under ``work``; returns its sha256 hex digest."""
-    csv_path = work / "data.csv"
+def digest(name, command, overrides):
+    """Run one configuration in the current directory; returns its sha256
+    hex digest."""
+    csv_path = Path("data.csv")
     if not csv_path.exists():
         save_csv(make_synthetic(10, 8, 60, 1.0, 5), csv_path)
-    ini, out = work / f"{name}.ini", work / name
-    _write_ini(ini, overrides, csv_path)
+    ini, out = Path(f"{name}.ini"), Path(name)
+    _write_ini(ini, overrides)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -75,11 +96,16 @@ def digest(name, command, overrides, work):
                          *command[1:]])
     if code != 0:
         raise SystemExit(f"{name}: aer exited {code}")
-    h = hashlib.sha256(stdout.getvalue().replace(str(out), "<out>").encode())
+    h = hashlib.sha256(stdout.getvalue().encode())
     for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["created_utc"]
+                data = json.dumps(manifest, sort_keys=True).encode()
             h.update(str(path.relative_to(out)).encode() + b"\0")
-            h.update(path.read_bytes())
+            h.update(data)
     return h.hexdigest()
 
 
@@ -91,10 +117,15 @@ def main(argv=None):
     unknown = [n for n in args.names if n not in CONFIGS]
     if unknown:
         parser.error(f"unknown configuration(s): {', '.join(unknown)}")
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.names or CONFIGS:
-            command, overrides = CONFIGS[name]
-            print(name, digest(name, command, overrides, Path(tmp)), flush=True)
+        os.chdir(tmp)
+        try:
+            for name in args.names or CONFIGS:
+                command, overrides = CONFIGS[name]
+                print(name, digest(name, command, overrides), flush=True)
+        finally:
+            os.chdir(cwd)
     return 0
 
 
