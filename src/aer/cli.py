@@ -165,7 +165,7 @@ def _variants(args, cfg):
     if args.command == "run":
         return [(cfg.method, cfg, spec)]
     cfgs = [_apply_flag(cfg, "--alphas", "run.alpha", a)
-            for a in args.alphas.replace(" ", "").split(",") if a]
+            for a in args.alphas.split(",") if a.strip()]
     if not cfgs:
         raise ConfigError("--alphas: need at least one value")
     return [(f"alpha={c.alpha:g}", c, spec) for c in cfgs]

@@ -15,6 +15,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -131,8 +132,9 @@ class RunConfig:
     augment_strength: float = _option("consolidation.augment_strength", 0.1, _ge(0))
 
     def validate(self):
-        """Check every field's single-value rule, then the rules that span
-        fields or hold for one dataset kind only; returns ``self``."""
+        """Check every field's single-value rule (a NaN or infinite float
+        breaks it too), then the rules that span fields or hold for one
+        dataset kind only; returns ``self``."""
         def bad(field, msg):
             raise ConfigError(f"{field}: {msg}")
 
@@ -140,7 +142,7 @@ class RunConfig:
             if f.metadata["rule"] is not None:
                 words, is_bad = f.metadata["rule"]
                 value = getattr(self, f.name)
-                if is_bad(value):
+                if is_bad(value) or f.type is float and not math.isfinite(value):
                     shown = repr(value) if f.type is str else value
                     bad(f.metadata["ini"], f"must be {words}, got {shown}")
         if not self.seeds:
@@ -163,7 +165,7 @@ class RunConfig:
                 bad("dataset.dims", f"must be >= 1, got {self.dims}")
             if self.per_class < 1:
                 bad("dataset.per_class", f"must be >= 1, got {self.per_class}")
-            if self.cluster_spread < 0:
+            if not 0 <= self.cluster_spread < math.inf:
                 bad("dataset.cluster_spread", f"must be >= 0, got {self.cluster_spread}")
             if self.classes % self.tasks:
                 bad("dataset.tasks",
@@ -215,7 +217,8 @@ _SECTIONS = {ini.split(".")[0] for ini in _FIELD_BY_INI}
 
 def parse_option(ini, raw):
     """Parse the text ``raw`` of INI option ``ini`` (``section.key``) by its
-    field's type; returns ``(field name, value)``."""
+    field's type; returns ``(field name, value)``. A tuple option is a
+    comma-separated list of ints; empty items are skipped."""
     if ini not in _FIELD_BY_INI:
         raise ConfigError(f"{ini}: unknown option")
     field = _FIELD_BY_INI[ini]
@@ -223,7 +226,7 @@ def parse_option(ini, raw):
         if field.type is bool:
             value = configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         elif field.type is tuple:
-            value = tuple(int(v) for v in raw.replace(" ", "").split(",") if v)
+            value = tuple(int(v) for v in raw.split(",") if v.strip())
         else:
             value = raw.strip() if field.type is str else field.type(raw)
     except (KeyError, ValueError):

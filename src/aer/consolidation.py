@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .mlp import (augment, per_sample_ce, prob_mse_gradient, soft_ce_gradient,
-                  softmax)
+from .mlp import (augment, logsumexp, per_sample_ce, prob_mse_gradient,
+                  soft_ce_gradient, softmax)
 
 VARIANCE_FLOOR = 1e-6
 
@@ -39,8 +39,7 @@ def _log_normal_pdf(x, mean, var):
 def _responsibilities(x, means, variances, weights):
     logp = np.stack([np.log(weights[k]) + _log_normal_pdf(x, means[k], variances[k])
                      for k in range(2)], axis=1)
-    peak = logp.max(axis=1, keepdims=True)
-    norm = peak[:, 0] + np.log(np.exp(logp - peak).sum(axis=1))
+    norm = logsumexp(logp)
     return np.exp(logp - norm[:, None]), float(norm.sum())
 
 

@@ -230,7 +230,7 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
         traces.append(trace)
         if forgetting:
             restore_checkpoint(model, ckpt)
-            if save_checkpoint(model).data != ckpt.data:
+            if save_checkpoint(model) != ckpt:
                 raise NumericalError(
                     f"checkpoint neutrality violated in task {t} epoch {e}")
             ckpt_checks += 1
@@ -249,7 +249,7 @@ def _dump_state(model, buffer, out_dir, seed, context):
     path.mkdir(parents=True, exist_ok=True)
     dump = path / f"abort_state_seed{seed}"
     dump.mkdir(exist_ok=True)
-    (dump / "model.ckpt").write_bytes(save_checkpoint(model).data)
+    (dump / "model.ckpt").write_bytes(save_checkpoint(model))
     if buffer is not None and len(buffer):
         buffer.dump_jsonl(dump / "buffer.jsonl")
     (dump / "context.json").write_text(json.dumps(context, sort_keys=True))

@@ -2,14 +2,15 @@
 
 A small fully-connected ReLU classifier with exact analytic gradients,
 plain SGD (optional momentum), per-sample cross-entropy losses with an
-optional class mask, byte-exact checkpoints and seeded Gaussian feature
-jitter. Everything is float64 so gradient checks and checkpoint
-round-trips are unambiguous.
+optional class mask, byte-exact checkpoints and Gaussian feature jitter.
+Everything is float64 so gradient checks and checkpoint round-trips are
+unambiguous.
 
 Parameters, momentum buffers and gradients are each one contiguous flat
 vector in the order ``[W0, b0, W1, b1, ...]`` (weights row-major). The
 per-tensor lists ``weights`` and ``biases`` are reshaped views into the
-parameter vector, so an SGD step is a few whole-vector operations.
+parameter vector, so an SGD step is a few whole-vector operations, and a
+checkpoint is plain ``bytes``: a shape header, then both flat vectors.
 """
 
 import functools
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
-CHECKPOINT_MAGIC = b"AERCKPT1"
+CHECKPOINT_MAGIC = b"AERCKPT2"
 
 
 class MLP:
@@ -52,6 +53,7 @@ class MLP:
             raise InputError(f"lr must be >= 0, got {lr}")
         rng = np.random.default_rng(seed)
         sizes = [int(in_dim), *[int(h) for h in hidden], int(num_classes)]
+        self.in_dim, self.num_classes, self.num_layers = sizes[0], sizes[-1], len(sizes) - 1
         self._layout = []
         end = 0
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -71,18 +73,6 @@ class MLP:
         """Per-tensor views ``[W0, b0, W1, b1, ...]`` of a flat vector laid
         out like ``params`` (``backward``'s gradient, for instance)."""
         return [flat[span].reshape(shape) for span, shape in self._layout]
-
-    @property
-    def in_dim(self):
-        return self.weights[0].shape[0]
-
-    @property
-    def num_classes(self):
-        return self.weights[-1].shape[1]
-
-    @property
-    def num_layers(self):
-        return len(self.weights)
 
     def forward(self, features, cache=False):
         """Compute logits for a batch; optionally return the backprop cache.
@@ -226,11 +216,9 @@ def per_sample_ce(logits, labels, class_mask=None):
     clamped at 0 to absorb float cancellation.
     """
     logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
-    # ``sub`` is the fancy-index copy even without a mask: its memory
-    # layout fixes the rounding of the row sums below
-    sub = logits[:, cols]
-    peak = sub.max(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.exp(sub - peak).sum(axis=1))
+    # ``logits[:, cols]`` is the fancy-index copy even without a mask: its
+    # memory layout fixes the rounding of the row sums in ``logsumexp``
+    lse = logsumexp(logits[:, cols])
     return np.maximum(lse - logits[np.arange(len(labels)), labels], 0.0)
 
 
@@ -238,12 +226,8 @@ def ce_gradient(logits, labels, class_mask=None):
     """Gradient of the batch-mean CE w.r.t. logits; exactly 0 outside the
     mask. Labels are checked as in ``per_sample_ce``."""
     logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
-    sub = logits[:, cols]
-    peak = sub.max(axis=1, keepdims=True)
-    expd = np.exp(sub - peak)
-    probs = expd / expd.sum(axis=1, keepdims=True)
     grad = np.zeros_like(logits)
-    grad[:, cols] = probs
+    grad[:, cols] = softmax(logits[:, cols])
     grad[np.arange(len(labels)), labels] -= 1.0
     return grad / len(labels)
 
@@ -255,13 +239,16 @@ def softmax(logits):
     return expd / expd.sum(axis=1, keepdims=True)
 
 
+def logsumexp(x):
+    """Row-wise log-sum-exp of a 2-D float64 array, shifted by the row max."""
+    peak = x.max(axis=1, keepdims=True)
+    return peak[:, 0] + np.log(np.exp(x - peak).sum(axis=1))
+
+
 def soft_cross_entropy(logits, targets):
     """Per-sample CE against probability-vector targets."""
     logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    peak = logits.max(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
-    return lse - (targets * logits).sum(axis=1)
+    return logsumexp(logits) - (np.asarray(targets, dtype=np.float64) * logits).sum(axis=1)
 
 
 def soft_ce_gradient(logits, targets):
@@ -289,82 +276,66 @@ def prob_mse_gradient(logits, targets):
     return p * (r - (r * p).sum(axis=1, keepdims=True))
 
 
-def augment(features, seed, strength):
-    """Seeded Gaussian jitter of the given per-coordinate strength.
-
-    ``strength`` 0 returns an unmodified copy. ``seed`` may be an int or a
-    ``numpy.random.Generator``.
-    """
+def augment(features, rng, strength):
+    """Gaussian jitter of the given per-coordinate strength, drawn from the
+    ``numpy.random.Generator`` ``rng``; ``strength`` 0 returns an unmodified
+    copy and draws nothing."""
     if strength < 0:
         raise InputError(f"strength must be >= 0, got {strength}")
     x = np.asarray(features, dtype=np.float64)
     if strength == 0:
         return x.copy()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return x + rng.standard_normal(x.shape) * float(strength)
 
 
-class Checkpoint:
-    """Serialized parameter snapshot; restores bitwise."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = bytes(data)
+def _checkpoint_header(model):
+    dims = [d for w in model.weights for d in w.shape]
+    return CHECKPOINT_MAGIC + struct.pack(f"<{1 + len(dims)}I", model.num_layers, *dims)
 
 
 def save_checkpoint(model):
-    """Serialize parameters and momentum buffers.
+    """Serialize parameters and momentum into ``bytes``.
 
-    Byte layout: magic ``AERCKPT1``, little-endian u32 layer count, then per
-    layer u32 rows, u32 cols, row-major f64 weights and f64 biases; momentum
-    buffers follow in the same per-layer order, which is the byte image of
-    the flat ``velocity`` vector.
+    Byte layout: magic ``AERCKPT2``, little-endian u32 layer count, u32 rows
+    and cols of each weight matrix, then the flat ``params`` and ``velocity``
+    vectors (``[W0, b0, W1, b1, ...]``, weights row-major) as little-endian f64.
     """
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", model.num_layers)]
-    for w, b in zip(model.weights, model.biases):
-        parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(model.velocity, dtype="<f8").tobytes())
-    return Checkpoint(b"".join(parts))
+    body = np.concatenate((model.params, model.velocity)).astype("<f8", copy=False)
+    return _checkpoint_header(model) + body.tobytes()
 
 
-def restore_checkpoint(model, checkpoint):
-    """Restore parameters from a checkpoint into a matching architecture.
+def restore_checkpoint(model, data):
+    """Restore ``save_checkpoint``'s bytes into a matching architecture.
 
-    The bytes are copied into the model's existing ``params`` and
+    The image is copied into the model's existing ``params`` and
     ``velocity`` vectors, so the per-tensor views stay attached; the model
-    is left untouched when the checkpoint does not match.
+    is left untouched when the image does not match.
     """
-    data = checkpoint.data
     if data[:8] != CHECKPOINT_MAGIC:
         raise InputError("not a checkpoint (bad magic)")
-    offset = 8
-    (layer_count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if layer_count != model.num_layers:
-        raise InputError(
-            f"architecture mismatch: checkpoint has {layer_count} layers, "
-            f"model has {model.num_layers}")
-    # a layer's W and b are adjacent both in ``params`` and in the
-    # checkpoint, where its shape header comes first
-    layers = []
-    for w in model.weights:
-        rows, cols = struct.unpack_from("<II", data, offset)
-        offset += 8
-        if (rows, cols) != w.shape:
-            raise InputError(
-                f"architecture mismatch: checkpoint layer is {rows}x{cols}, "
-                f"model layer is {w.shape[0]}x{w.shape[1]}")
-        layers.append((offset, rows * cols + cols))
-        offset += 8 * layers[-1][1]
-    velocity = np.frombuffer(data, "<f8", model.velocity.size, offset)
-    if offset + velocity.nbytes != len(data):
-        raise InputError("corrupt checkpoint: trailing bytes")
-    pos = 0
-    for start, size in layers:
-        model.params[pos:pos + size] = np.frombuffer(data, "<f8", size, start)
-        pos += size
-    model.velocity[:] = velocity
+    header = _checkpoint_header(model)
+    if data[:len(header)] != header:
+        raise InputError(_header_mismatch(model, data))
+    size = model.params.size
+    if len(data) != len(header) + 16 * size:
+        raise InputError(f"corrupt checkpoint: {len(data)} bytes, "
+                         f"expected {len(header) + 16 * size}")
+    body = np.frombuffer(data, "<f8", offset=len(header))
+    model.params[:], model.velocity[:] = body[:size], body[size:]
     return model
+
+
+def _header_mismatch(model, data):
+    """How the header of checkpoint ``data`` differs from ``model``'s."""
+    if len(data) >= 12:
+        (layers,) = struct.unpack_from("<I", data, 8)
+        if layers != model.num_layers:
+            return (f"architecture mismatch: checkpoint has {layers} layers, "
+                    f"model has {model.num_layers}")
+    if len(data) < 12 + 8 * model.num_layers:
+        return f"corrupt checkpoint: header cut short at {len(data)} bytes"
+    for i, w in enumerate(model.weights):
+        rows, cols = struct.unpack_from("<II", data, 12 + 8 * i)
+        if (rows, cols) != w.shape:
+            return (f"architecture mismatch: checkpoint layer {i} is {rows}x{cols}, "
+                    f"model layer is {w.shape[0]}x{w.shape[1]}")

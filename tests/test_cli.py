@@ -300,7 +300,8 @@ OUT_OF_RANGE = [("batch_size", 0), ("epochs", 0), ("capacity", 0), ("alpha", -1)
                 ("seeds", "-1"), ("seeds", "0,0"), ("hidden", "0"),
                 ("hidden", "4,0"), ("hidden", "-2"), ("dataset_seed", -5),
                 ("noise_seed", -3), ("gdumb_epochs", -3), ("gdumb_lr", -1),
-                ("gdumb_lr", 0)]
+                ("gdumb_lr", 0), ("lr", "nan"), ("lr", "inf"), ("gdumb_lr", "nan"),
+                ("seeds", "0 1"), ("hidden", "8 8")]
 
 
 @given(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in BOUNDARY_VALUES.items()}),
@@ -341,6 +342,8 @@ def test_empty_synthetic_test_split_is_rejected_before_training(tmp_path):
     (["run"], "--seeds", "a", "--seeds: run.seeds: cannot parse 'a'"),
     (["sweep-alpha"], "--alphas", "0,101",
      "--alphas: run.alpha: must be within [0, 100], got 101.0"),
+    (["run"], "--seeds", "1 2", "--seeds: run.seeds: cannot parse '1 2'"),
+    (["sweep-alpha"], "--alphas", "5 0", "--alphas: run.alpha: cannot parse '5 0'"),
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(tiny_config, tmp_path, capsys,
                                                command, flag, text, message):

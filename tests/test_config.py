@@ -82,6 +82,27 @@ def test_bad_values_name_field_on_parse(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("ini", [f.metadata["ini"] for f in dataclasses.fields(RunConfig)
+                                 if f.type is float])
+def test_non_finite_float_fails_its_fields_rule(tmp_path, ini, text):
+    section, key = ini.split(".")
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(ini)}: must be .+, got {text}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("ini, text", [("run.seeds", "0 1"), ("run.hidden", "64 64"),
+                                       ("run.seeds", "1 2, 3")])
+def test_list_items_do_not_merge_across_spaces(tmp_path, ini, text):
+    section, key = ini.split(".")
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match=f"^{ini}: cannot parse '{text}'$"):
+        load_config(path)
+
+
 def test_unknown_section_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[general]\nlr = 0.05\n")

@@ -134,7 +134,7 @@ def test_mixmatch_step_lambda_zero_reduces_to_supervised():
     _mixmatch_step(a, mixed_x, mixed_t, n_labeled=6, lambda_u=0.0, lr=0.1)
     logits, cache = b.forward(mixed_x[:6], cache=True)
     b.apply_step(b.backward(cache, soft_ce_gradient(logits, mixed_t[:6])), lr=0.1)
-    assert save_checkpoint(a).data == save_checkpoint(b).data
+    assert save_checkpoint(a) == save_checkpoint(b)
 
 
 def noisy_buffer(n=120, noise=0.3, seed=0, dim=4, classes=4):
@@ -169,7 +169,7 @@ def test_mixmatch_never_reads_true_labels():
             sel = np.random.default_rng(0).permutation(buf.size)[:32]
             model.train_step(buf.features[sel], buf.labels[sel])
         mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(9))
-        return save_checkpoint(model).data
+        return save_checkpoint(model)
 
     assert run(False) == run(True)
 
@@ -269,7 +269,7 @@ def test_mixmatch_epoch_batches_match_per_step_reference(monkeypatch, n_pure,
         model = MLP(4, 4, hidden=(8, 6), lr=0.1, momentum=0.9, seed=3)
         rng = np.random.default_rng(11)
         report = consolidate(model, buf, cfg, rng)
-        results.append((save_checkpoint(model).data, report, rng.bit_generator.state))
+        results.append((save_checkpoint(model), report, rng.bit_generator.state))
     assert results[0][1]["n_pure"] == n_pure
     assert results[0] == results[1]
 
@@ -277,9 +277,9 @@ def test_mixmatch_epoch_batches_match_per_step_reference(monkeypatch, n_pure,
 def test_buffer_fit_zero_epochs_is_identity():
     buf = noisy_buffer()
     model = MLP(4, 4, hidden=(8,), lr=0.1, seed=5)
-    before = save_checkpoint(model).data
+    before = save_checkpoint(model)
     buffer_fit(model, buf, epochs=0, lr=0.1, rng=np.random.default_rng(0))
-    assert save_checkpoint(model).data == before
+    assert save_checkpoint(model) == before
 
 
 def test_buffer_fit_overfits_clean_buffer():
@@ -306,11 +306,11 @@ def test_buffer_fit_epoch_loss_nonincreasing():
 
 def test_buffer_fit_empty_buffer_warns_noop():
     model = MLP(4, 4, hidden=(8,), lr=0.1, seed=0)
-    before = save_checkpoint(model).data
+    before = save_checkpoint(model)
     with pytest.warns(UserWarning):
         buffer_fit(model, MemoryBuffer(4, 4), epochs=3, lr=0.1,
                    rng=np.random.default_rng(0))
-    assert save_checkpoint(model).data == before
+    assert save_checkpoint(model) == before
 
 
 def test_gmm_split_tracks_buffer_noise_fraction():

@@ -193,7 +193,7 @@ def test_true_labels_never_influence_training():
         rngs = make_rngs()
         for t in range(cfg.tasks):
             train_task(model, stream, buf, cfg, PRESETS["aer_abs"], t, rngs)
-        return save_checkpoint(model).data
+        return save_checkpoint(model)
 
     honest = run_with_true_labels(data.train.labels_true.copy())
     poisoned = run_with_true_labels(np.zeros_like(data.train.labels_true))
@@ -230,12 +230,12 @@ def test_gdumb_buffer_balanced_and_no_model_training():
     cfg = tiny_cfg(method="gdumb", noise_rate=0.0)
     data = prepare_data(cfg, 0)
     model = MLP(cfg.dims, cfg.classes, cfg.hidden, cfg.lr, seed=[0, 20])
-    before = save_checkpoint(model).data
+    before = save_checkpoint(model)
     buf = MemoryBuffer(20, cfg.dims)
     rngs = make_rngs()
     for t in range(cfg.tasks):
         train_task(model, data.stream, buf, cfg, PRESETS["gdumb"], t, rngs)
-    assert save_checkpoint(model).data == before
+    assert save_checkpoint(model) == before
     counts = np.bincount(buf.labels[:buf.size], minlength=cfg.classes)
     assert counts.max() - counts.min() <= 1
 

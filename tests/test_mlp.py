@@ -14,7 +14,7 @@ def small_model(seed=0, hidden=(5, 4), in_dim=3, classes=4, lr=0.1):
 
 
 def params_bytes(model):
-    return save_checkpoint(model).data
+    return save_checkpoint(model)
 
 
 def test_zero_weight_model_gives_zero_logits():
@@ -184,7 +184,7 @@ def test_checkpoint_roundtrip_is_bitwise():
     ckpt = save_checkpoint(m)
     m2 = small_model(seed=99)
     restore_checkpoint(m2, ckpt)
-    assert params_bytes(m2) == ckpt.data
+    assert params_bytes(m2) == ckpt
 
 
 def test_checkpoint_survives_training():
@@ -193,9 +193,9 @@ def test_checkpoint_survives_training():
     rng = np.random.default_rng(3)
     for _ in range(10):
         m.train_step(rng.standard_normal((8, 3)), rng.integers(0, 4, size=8))
-    assert params_bytes(m) != ckpt.data
+    assert params_bytes(m) != ckpt
     restore_checkpoint(m, ckpt)
-    assert params_bytes(m) == ckpt.data
+    assert params_bytes(m) == ckpt
 
 
 def test_checkpoint_architecture_mismatch_is_error():
@@ -210,27 +210,60 @@ def test_checkpoint_architecture_mismatch_is_error():
 
 def test_checkpoint_bad_magic_is_error():
     m = small_model()
-    data = b"NOTCKPT!" + save_checkpoint(m).data[8:]
+    data = b"NOTCKPT!" + save_checkpoint(m)[8:]
     with pytest.raises(InputError):
-        restore_checkpoint(m, type("C", (), {"data": data, "epoch": 0}))
+        restore_checkpoint(m, data)
+
+
+def _malformed_images():
+    """Checkpoint images of ``small_model()`` that must not restore, with
+    the words their error carries."""
+    good = save_checkpoint(small_model(seed=4))
+    header = 8 + 4 + 8 * 3
+    three_layers = save_checkpoint(MLP(3, 4, hidden=(5, 4, 4), lr=0.1, seed=0))
+    other_shape = save_checkpoint(MLP(3, 4, hidden=(6, 4), lr=0.1, seed=0))
+    return {
+        "bad magic": (b"AERCKPT1" + good[8:], "bad magic"),
+        "header cut to 8 bytes": (good[:8], "header cut short"),
+        "header cut to 14 bytes": (good[:14], "header cut short"),
+        "header cut to 35 bytes": (good[:header - 1], "header cut short"),
+        "body cut short": (good[:-8], "corrupt checkpoint"),
+        "trailing byte": (good + b"\0", "corrupt checkpoint"),
+        "layer count": (three_layers, "checkpoint has 4 layers, model has 3"),
+        "layer shape": (other_shape, "checkpoint layer 0 is 3x6, model layer is 3x5"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_malformed_images()))
+def test_malformed_checkpoint_is_input_error_and_leaves_model_unchanged(case):
+    data, words = _malformed_images()[case]
+    m = small_model(seed=1)
+    rng = np.random.default_rng(0)
+    m.train_step(rng.standard_normal((8, 3)), rng.integers(0, 4, size=8))
+    params, velocity = m.params.tobytes(), m.velocity.tobytes()
+    with pytest.raises(InputError, match=words):
+        restore_checkpoint(m, data)
+    assert m.params.tobytes() == params and m.velocity.tobytes() == velocity
 
 
 def test_augment_strength_zero_is_identity():
     x = np.random.default_rng(0).standard_normal((10, 4))
-    out = augment(x, seed=5, strength=0.0)
+    out = augment(x, np.random.default_rng(5), strength=0.0)
     assert np.array_equal(out, x)
     assert out is not x
 
 
 def test_augment_same_seed_is_deterministic():
     x = np.random.default_rng(1).standard_normal((10, 4))
-    assert np.array_equal(augment(x, 77, 0.3), augment(x, 77, 0.3))
-    assert not np.array_equal(augment(x, 77, 0.3), augment(x, 78, 0.3))
+    def draw(seed):
+        return augment(x, np.random.default_rng(seed), 0.3)
+    assert np.array_equal(draw(77), draw(77))
+    assert not np.array_equal(draw(77), draw(78))
 
 
 def test_augment_empirical_std_matches_strength():
     x = np.zeros((100_000, 1))
-    out = augment(x, seed=123, strength=0.4)
+    out = augment(x, np.random.default_rng(123), strength=0.4)
     std = (out - x).std()
     assert abs(std - 0.4) / 0.4 < 0.05
 
@@ -339,7 +372,7 @@ def test_train_steps_are_byte_identical_to_reference(n, momentum):
             args = (x, labels, None, None)
         fast, ref = (m.train_step(*args) for m in models)
         assert fast.tobytes() == ref.tobytes()
-        assert save_checkpoint(models[0]).data == save_checkpoint(models[1]).data
+        assert save_checkpoint(models[0]) == save_checkpoint(models[1])
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -358,14 +391,14 @@ def test_restore_writes_into_the_flat_vectors(momentum):
     for m in models:
         m.train_step(x[::2], labels[::2])
         restore_checkpoint(m, ckpt)
-        assert save_checkpoint(m).data == ckpt.data
+        assert save_checkpoint(m) == ckpt
         for flat, tensors in ((m.params, m.weights + m.biases),
                               (m.velocity, m.views(m.velocity))):
             assert all(np.shares_memory(t, flat) for t in tensors)
     for _ in range(3):
         fast, ref = (m.train_step(x, labels) for m in models)
         assert fast.tobytes() == ref.tobytes()
-        assert save_checkpoint(models[0]).data == save_checkpoint(models[1]).data
+        assert save_checkpoint(models[0]) == save_checkpoint(models[1])
 
 
 def reference_mask_columns(logits, class_mask):

@@ -95,7 +95,7 @@ def test_checkpoint_roundtrip_random_architectures(in_dim, classes, seed):
     ckpt = save_checkpoint(model)
     clone = MLP(in_dim, classes, hidden=hidden, lr=0.1, momentum=0.5, seed=seed + 1)
     restore_checkpoint(clone, ckpt)
-    assert save_checkpoint(clone).data == ckpt.data
+    assert save_checkpoint(clone) == ckpt
 
 
 @given(st.integers(min_value=3, max_value=10), st.integers(min_value=1, max_value=8),

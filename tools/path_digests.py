@@ -5,11 +5,14 @@ inside a temporary directory so that every path is relative, and prints
 ``<name> <sha256>`` per configuration. Each digest covers every output
 file by relative path and content (``manifest.json`` without its
 ``created_utc`` timestamp, so the resolved config and its hash count) plus
-the command's stdout. Together the configurations cover the paths the
+the command's stdout and stderr. Together the configurations cover the paths the
 benchmark workloads leave out: every method, both consolidation modes,
 single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
 datasets and asymmetric noise; ``all-keys`` sets every INI key to a valid
-non-default value.
+non-default value, and ``abort`` (learning rate 100) diverges in its
+second task and exits 3, leaving a numerical-abort state dump
+(``model.ckpt``, ``buffer.jsonl``, ``context.json``). Each configuration
+declares the exit code it must end with.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -38,19 +41,19 @@ BASE = {
     "noise": {"kind": "symmetric", "rate": "0.4"},
 }
 
-# name -> (command arguments, INI overrides {(section, key): value})
-CONFIGS = {f"run-{m}": (["run"], {("run", "method"): m}) for m in PRESETS}
+# name -> (command arguments, INI overrides {(section, key): value}, exit code)
+CONFIGS = {f"run-{m}": (["run"], {("run", "method"): m}, 0) for m in PRESETS}
 CONFIGS.update({
-    "buffer_fit": (["run"], {("run", "consolidation"): "buffer_fit"}),
+    "buffer_fit": (["run"], {("run", "consolidation"): "buffer_fit"}, 0),
     "mixmatch": (["run"], {("run", "consolidation"): "mixmatch",
-                           ("consolidation", "epochs"): "3"}),
-    "aer_abs-1epoch": (["run"], {("run", "epochs_per_task"): "1"}),
+                           ("consolidation", "epochs"): "3"}, 0),
+    "aer_abs-1epoch": (["run"], {("run", "epochs_per_task"): "1"}, 0),
     "aer_lass-3epoch": (["run"], {("run", "method"): "aer_lass",
-                                  ("run", "epochs_per_task"): "3"}),
-    "sweep-alpha": (["sweep-alpha", "--alphas", "0,50,90"], {}),
-    "ablate": (["ablate"], {}),
-    "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}),
-    "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}),
+                                  ("run", "epochs_per_task"): "3"}, 0),
+    "sweep-alpha": (["sweep-alpha", "--alphas", "0,50,90"], {}, 0),
+    "ablate": (["ablate"], {}, 0),
+    "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
+    "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}, 0),
     "all-keys": (["run"], {
         ("run", "method"): "aer_lass", ("run", "lr"): "0.05", ("run", "momentum"): "0.5",
         ("run", "batch_size"): "12", ("run", "epochs_per_task"): "3",
@@ -68,7 +71,8 @@ CONFIGS.update({
         ("consolidation", "batch_size"): "16", ("consolidation", "lambda_u"): "0.1",
         ("consolidation", "temperature"): "0.4", ("consolidation", "mixup_alpha"): "0.5",
         ("consolidation", "threshold"): "0.6", ("consolidation", "num_augments"): "2",
-        ("consolidation", "augment_strength"): "0.2"}),
+        ("consolidation", "augment_strength"): "0.2"}, 0),
+    "abort": (["run"], {("run", "lr"): "100"}, 3),
 })
 
 
@@ -81,7 +85,7 @@ def _write_ini(path, overrides):
         for s, kv in sections.items()))
 
 
-def digest(name, command, overrides):
+def digest(name, command, overrides, expected_code):
     """Run one configuration in the current directory; returns its sha256
     hex digest."""
     csv_path = Path("data.csv")
@@ -89,14 +93,17 @@ def digest(name, command, overrides):
         save_csv(make_synthetic(10, 8, 60, 1.0, 5), csv_path)
     ini, out = Path(f"{name}.ini"), Path(name)
     _write_ini(ini, overrides)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = aer_main([command[0], "--config", str(ini), "--out", str(out),
                          *command[1:]])
-    if code != 0:
-        raise SystemExit(f"{name}: aer exited {code}")
+    if code != expected_code:
+        raise SystemExit(f"{name}: aer exited {code}, expected {expected_code}: "
+                         f"{stderr.getvalue()}")
     h = hashlib.sha256(stdout.getvalue().encode())
+    h.update(stderr.getvalue().encode())
     for path in sorted(out.rglob("*")):
         if path.is_file():
             data = path.read_bytes()
@@ -122,8 +129,7 @@ def main(argv=None):
         os.chdir(tmp)
         try:
             for name in args.names or CONFIGS:
-                command, overrides = CONFIGS[name]
-                print(name, digest(name, command, overrides), flush=True)
+                print(name, digest(name, *CONFIGS[name]), flush=True)
         finally:
             os.chdir(cwd)
     return 0
