@@ -1,9 +1,11 @@
 """Fixed-capacity rehearsal memory and its replacement samplers.
 
-Holds a reservoir baseline, percentile-gated insertion, loss-proportional
-replacement (LASS) and the asymmetric balanced variant (ABS) that replaces
-high-loss current-task entries but low-loss past-task entries, choosing the
-partition with a Bernoulli draw on the current task's share of the buffer.
+Holds a reservoir baseline, GDumb's greedy class-balanced fill,
+percentile-gated insertion, loss-proportional replacement (LASS) and the
+asymmetric balanced variant (ABS) that replaces high-loss current-task
+entries but low-loss past-task entries, choosing the partition with a
+Bernoulli draw on the current task's share of the buffer. Each insertion
+policy takes one batch step's candidate rows as arrays in one call.
 
 A batch step of LASS/ABS victim draws keeps its not-yet-replaced slots as
 ascending index arrays, one per partition (ABS: current and past task;
@@ -28,7 +30,8 @@ class MemoryBuffer:
 
     Cached per-sample losses back every score-based selection and must be
     refreshed (``refresh_losses``) before the scores are consumed. True
-    labels are carried for purity audits only.
+    labels are carried for purity audits only. ``n_seen`` counts every
+    candidate row offered to ``reservoir_update``.
     """
 
     def __init__(self, capacity, dim):
@@ -63,7 +66,6 @@ class MemoryBuffer:
             raise InputError("buffer full; use a replacement policy")
         self._write(self.size, features, label, true_label, task_id, loss)
         self.size += 1
-        return self.size - 1
 
     def overwrite(self, i, features, label, true_label, task_id, loss):
         if not 0 <= i < self.size:
@@ -109,15 +111,27 @@ class MemoryBuffer:
                 }) + "\n")
 
 
-def reservoir_update(buffer, features, label, true_label, task_id, loss, rng):
-    """Classic reservoir sampling: item n is kept with probability m/n."""
-    buffer.n_seen += 1
-    if buffer.size < buffer.capacity:
-        buffer.add(features, label, true_label, task_id, loss)
-        return
-    j = int(rng.integers(0, buffer.n_seen))
-    if j < buffer.capacity:
-        buffer.overwrite(j, features, label, true_label, task_id, loss)
+def _append(buffer, features, labels, true_labels, task_ids, losses):
+    """Append leading rows while the buffer is below capacity; returns how
+    many were appended. Every insertion policy fills this way."""
+    n = min(len(features), buffer.capacity - buffer.size)
+    for i in range(n):
+        buffer.add(features[i], labels[i], true_labels[i], task_ids[i], losses[i])
+    return n
+
+
+def reservoir_update(buffer, features, labels, true_labels, task_ids, losses, rng):
+    """Reservoir sampling over the candidate rows in order. Each row counts
+    in ``n_seen``; once the buffer is full, the row counted n-th overwrites
+    slot ``j = rng.integers(0, n)`` iff ``j < capacity``, a later row winning
+    a slot drawn twice. One ``rng.integers`` call over all the rows' n draws
+    the same values and generator state as one call per row."""
+    n = _append(buffer, features, labels, true_labels, task_ids, losses)
+    slots = rng.integers(0, buffer.n_seen + np.arange(n + 1, len(features) + 1))
+    buffer.n_seen += len(features)
+    for i in n + np.flatnonzero(slots < buffer.capacity):
+        buffer.overwrite(int(slots[i - n]), features[i], labels[i], true_labels[i],
+                         task_ids[i], losses[i])
 
 
 def insertion_candidates(losses, alpha):
@@ -157,13 +171,6 @@ def lass_scores(buffer):
     if len(buffer) == 0:
         raise InputError("buffer is empty")
     return _score_probabilities(buffer.losses[:buffer.size])
-
-
-def _abs_partition_probs(losses, is_current):
-    """Within-partition scores: loss for current, (max - loss) for past."""
-    if is_current:
-        return _score_probabilities(losses)
-    return _score_probabilities(losses.max() - losses)
 
 
 def abs_select(buffer, current_task, rng):
@@ -210,7 +217,8 @@ def _draw_slot(buffer, selector, rng, parts, p_current):
         k = 0 if rng.random() < p_current else 1
         if not len(parts[k]):
             k = 1 - k
-        probs = _abs_partition_probs(losses[parts[k]], k == 0)
+        scores = losses[parts[k]]  # current: loss; past: max - loss
+        probs = _score_probabilities(scores if k == 0 else scores.max() - scores)
     else:
         raise InputError(f"unknown selector {selector!r}")
     cdf = probs.cumsum()
@@ -223,63 +231,57 @@ def _draw_slot(buffer, selector, rng, parts, p_current):
 
 def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
                             losses, selector, current_task, rng):
-    """Insert gated candidates, drawing victim slots via the selector.
+    """Insert candidate rows, drawing victim slots via the selector.
 
-    Below capacity the candidates are appended (reservoir-style fill). At
-    capacity each candidate draws one slot without replacement within this
-    batch step; if candidates outnumber the slots, later candidates recycle
-    the earliest-replaced slots so the most recent capacity-many candidates
-    stay resident. Scores derive from the cached losses refreshed at the
-    start of the step.
+    Below capacity the rows are appended. At capacity each row draws one
+    slot without replacement within this batch step; if rows outnumber the
+    slots, later rows recycle the earliest-replaced slots so the most recent
+    capacity-many rows stay resident. Scores derive from the cached losses
+    refreshed at the start of the step.
 
     The available-slot arrays and the partition Bernoulli probability are
-    built once, at the first replacement of the step, and each drawn slot
+    built once, when the rows reach a full buffer, and each drawn slot
     is then cut from its array in place, so the arrays stay ascending and
     every draw scores the same subset in the same order as a fresh
     ``flatnonzero`` over the not-yet-replaced slots would.
     """
-    n = len(features)
-    parts = p_current = None
+    n = _append(buffer, features, labels, true_labels, task_ids, losses)
+    if n == len(features):
+        return
+    # built before any slot of the full buffer is overwritten; overwritten
+    # slots leave the arrays, so their new task ids never reach a draw
+    parts, p_current = _available_slots(buffer, selector, current_task)
     replaced = []
-    overflow = 0
-    for i in range(n):
-        if buffer.size < buffer.capacity:
-            buffer.add(features[i], labels[i], true_labels[i], task_ids[i], losses[i])
-            continue
+    for i in range(n, len(features)):
         if len(replaced) >= buffer.capacity:
-            slot = replaced[overflow % buffer.capacity]
-            overflow += 1
+            slot = replaced[(i - n) % buffer.capacity]
         else:
-            if parts is None:
-                # built before any slot of the full buffer is overwritten;
-                # overwritten slots leave the arrays, so their new task ids
-                # never reach a draw
-                parts, p_current = _available_slots(buffer, selector, current_task)
             k, j = _draw_slot(buffer, selector, rng, parts, p_current)
-            part = parts[k]
-            slot = int(part[j])
-            parts[k] = np.concatenate((part[:j], part[j + 1:]))
+            slot = int(parts[k][j])
+            parts[k] = np.concatenate((parts[k][:j], parts[k][j + 1:]))
             replaced.append(slot)
         buffer.overwrite(slot, features[i], labels[i], true_labels[i],
                          task_ids[i], losses[i])
 
 
-def gdumb_update(buffer, features, label, true_label, task_id, rng):
-    """Greedy class-balanced fill: evict from the most numerous class."""
-    if buffer.size < buffer.capacity:
-        buffer.add(features, label, true_label, task_id, 0.0)
-        return
-    labels = buffer.labels[:buffer.size]
-    classes, counts = np.unique(labels, return_counts=True)
-    own = counts[classes == label]
-    max_count = counts.max()
-    if own.size and own[0] >= max_count:
-        return
-    biggest = classes[counts == max_count]
-    victim_class = biggest[int(rng.integers(len(biggest)))]
-    slots = np.flatnonzero(labels == victim_class)
-    slot = int(slots[int(rng.integers(len(slots)))])
-    buffer.overwrite(slot, features, label, true_label, task_id, 0.0)
+def gdumb_update(buffer, features, labels, true_labels, task_ids, losses, rng):
+    """Greedy class-balanced fill over the candidate rows in order: once the
+    buffer is full, a row outside its most numerous classes overwrites a
+    random entry of a random one of them; any other row is dropped."""
+    n = _append(buffer, features, labels, true_labels, task_ids, losses)
+    for i in range(n, len(features)):
+        stored = buffer.labels[:buffer.size]
+        classes, counts = np.unique(stored, return_counts=True)
+        own = counts[classes == labels[i]]
+        max_count = counts.max()
+        if own.size and own[0] >= max_count:
+            continue
+        biggest = classes[counts == max_count]
+        victim_class = biggest[int(rng.integers(len(biggest)))]
+        slots = np.flatnonzero(stored == victim_class)
+        slot = int(slots[int(rng.integers(len(slots)))])
+        buffer.overwrite(slot, features[i], labels[i], true_labels[i],
+                         task_ids[i], losses[i])
 
 
 def purity(buffer):

@@ -168,14 +168,18 @@ def _variants(args, cfg):
             for a in args.alphas.split(",") if a.strip()]
     if not cfgs:
         raise ConfigError("--alphas: need at least one value")
-    return [(f"alpha={c.alpha:g}", c, spec) for c in cfgs]
+    # each alpha writes to its own alpha=<value:g> directory
+    values = [f"{c.alpha:g}" for c in cfgs]
+    if len(set(values)) != len(values):
+        raise ConfigError(f"--alphas: must be distinct, got [{', '.join(values)}]")
+    return [(f"alpha={v}", c, spec) for v, c in zip(values, cfgs)]
 
 
 def run_command(args):
     """Load the config, apply ``--seeds``, run the command's variants and
     print their summary rows."""
     cfg = load_config(args.config)
-    if args.seeds:
+    if args.seeds is not None:
         cfg = _apply_flag(cfg, "--seeds", "run.seeds", args.seeds)
     variants = _variants(args, cfg)
     out_dir = _resolve_out_dir(args.out, cfg, args.command)

@@ -156,7 +156,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     epochs replay from a buffer they must leave unchanged (hash-checked)
     and only forgetting epochs insert, after which the epoch-start
     checkpoint is restored (checked bitwise). Any other task inserts in
-    every epoch. Replay is masked to the classes of tasks ``0..t``.
+    every epoch. Replay is masked to the classes of tasks ``0..t``. An
+    inserting batch hands its candidate rows (the alpha-gated slice or the
+    whole batch) to the method's insertion policy in one call.
     """
     task_classes = stream.task_classes(t)
     seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
@@ -178,8 +180,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
             if (inserting and spec.selector in ("lass", "abs")
                     and not spec.gdumb and len(buffer)):
                 buffer.refresh_losses(model)
-            losses = None
-            if not spec.gdumb:
+            if spec.gdumb:
+                losses = np.zeros(len(batch))  # GDumb trains on its buffer only
+            else:
                 smask = task_classes if spec.ace else None
                 logits, cache = model.forward(batch.features, cache=True)
                 losses = per_sample_ce(logits, batch.labels, smask)
@@ -196,28 +199,19 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 loss_sum += float(losses.sum())
                 loss_count += len(losses)
             if inserting:
-                if spec.gdumb:
-                    for i in range(len(batch)):
-                        gdumb_update(buffer, batch.features[i], batch.labels[i],
-                                     batch.true_labels[i], t, rngs.buffer)
+                if spec.alpha_gate:
+                    rows = insertion_candidates(losses, cfg.alpha)
                 else:
-                    if spec.alpha_gate:
-                        cand = insertion_candidates(losses, cfg.alpha)
+                    rows = np.arange(len(batch))
+                if len(rows):
+                    cand = (buffer, batch.features[rows], batch.labels[rows],
+                            batch.true_labels[rows], np.full(len(rows), t), losses[rows])
+                    if spec.gdumb:
+                        gdumb_update(*cand, rngs.buffer)
+                    elif spec.selector == "reservoir":
+                        reservoir_update(*cand, rngs.buffer)
                     else:
-                        cand = np.arange(len(batch))
-                    if len(cand):
-                        if spec.selector == "reservoir":
-                            for i in cand:
-                                reservoir_update(
-                                    buffer, batch.features[i], batch.labels[i],
-                                    batch.true_labels[i], t, losses[i],
-                                    rngs.buffer)
-                        else:
-                            replace_with_candidates(
-                                buffer, batch.features[cand], batch.labels[cand],
-                                batch.true_labels[cand],
-                                np.full(len(cand), t, dtype=np.intp),
-                                losses[cand], spec.selector, t, rngs.buffer)
+                        replace_with_candidates(*cand, spec.selector, t, rngs.buffer)
         trace = {"task": t, "epoch": e, "mode": mode,
                  "stream_loss": loss_sum / loss_count if loss_count else None,
                  "buffer_clean_loss": None, "buffer_noisy_loss": None,

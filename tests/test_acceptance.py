@@ -102,10 +102,11 @@ def test_03_reservoir_uniformity_chi_square():
     rng = np.random.default_rng(31337)
     m, n, trials = 10, 100, 10_000
     counts = np.zeros(n)
+    zeros = np.zeros(n, dtype=np.intp)
     for _ in range(trials):
         buf = MemoryBuffer(m, 1)
-        for i in range(n):
-            reservoir_update(buf, np.array([float(i)]), 0, 0, 0, 0.0, rng)
+        reservoir_update(buf, np.arange(n, dtype=float)[:, None], zeros, zeros, zeros,
+                         np.zeros(n), rng)
         for v in buf.features[:m, 0]:
             counts[int(v)] += 1
     _, p_value = scipy.stats.chisquare(counts)

@@ -18,11 +18,20 @@ def filled_buffer(losses, tasks=None, capacity=None, true_labels=None, dim=2):
     return buf
 
 
+def scalar_rows(values, labels=0, tasks=0):
+    """Candidate row arrays of 1-d features ``values``; labels and true
+    labels ``labels``, task ids ``tasks`` (scalars broadcast), losses 0."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    labels = np.broadcast_to(np.asarray(labels, dtype=np.intp), n)
+    return (values[:, None], labels, labels,
+            np.broadcast_to(np.asarray(tasks, dtype=np.intp), n), np.zeros(n))
+
+
 def test_reservoir_stores_first_m_items():
     rng = np.random.default_rng(0)
     buf = MemoryBuffer(5, 1)
-    for i in range(5):
-        reservoir_update(buf, np.array([float(i)]), 0, 0, 0, 0.0, rng)
+    reservoir_update(buf, *scalar_rows(range(5)), rng)
     assert len(buf) == 5
     assert buf.n_seen == 5
     assert np.array_equal(buf.features[:5, 0], np.arange(5.0))
@@ -34,8 +43,7 @@ def test_reservoir_m1_n2_keeps_second_half_the_time():
     trials = 10_000
     for _ in range(trials):
         buf = MemoryBuffer(1, 1)
-        reservoir_update(buf, np.array([0.0]), 0, 0, 0, 0.0, rng)
-        reservoir_update(buf, np.array([1.0]), 0, 0, 0, 0.0, rng)
+        reservoir_update(buf, *scalar_rows([0.0, 1.0]), rng)
         kept_second += buf.features[0, 0] == 1.0
     assert abs(kept_second / trials - 0.5) < 0.02
 
@@ -353,12 +361,85 @@ def test_diversity_single_entry_class_warns_zero():
     assert per_class[1] == 0.0
 
 
+def reference_reservoir_update(buffer, features, label, true_label, task_id, loss, rng):
+    """``reservoir_update`` as first written: one candidate per call."""
+    buffer.n_seen += 1
+    if buffer.size < buffer.capacity:
+        buffer.add(features, label, true_label, task_id, loss)
+        return
+    j = int(rng.integers(0, buffer.n_seen))
+    if j < buffer.capacity:
+        buffer.overwrite(j, features, label, true_label, task_id, loss)
+
+
+def reference_gdumb_update(buffer, features, label, true_label, task_id, rng):
+    """``gdumb_update`` as first written: one candidate per call, loss 0."""
+    if buffer.size < buffer.capacity:
+        buffer.add(features, label, true_label, task_id, 0.0)
+        return
+    labels = buffer.labels[:buffer.size]
+    classes, counts = np.unique(labels, return_counts=True)
+    own = counts[classes == label]
+    max_count = counts.max()
+    if own.size and own[0] >= max_count:
+        return
+    biggest = classes[counts == max_count]
+    victim_class = biggest[int(rng.integers(len(biggest)))]
+    slots = np.flatnonzero(labels == victim_class)
+    slot = int(slots[int(rng.integers(len(slots)))])
+    buffer.overwrite(slot, features, label, true_label, task_id, 0.0)
+
+
+def buffer_state(buf):
+    return (buf.size, buf.n_seen, buf._tick, buf.slots, buf.features.tobytes(),
+            buf.labels.tobytes(), buf.true_labels.tobytes(), buf.task_ids.tobytes(),
+            buf.losses.tobytes(), buf.ticks.tobytes())
+
+
+@pytest.mark.parametrize("policy", ["reservoir", "gdumb"])
+def test_batch_insertion_matches_per_candidate_reference(policy):
+    """One batch call leaves the same buffer arrays, ``n_seen``, ticks,
+    overwritten-slot sequence and generator state as one call per candidate,
+    over random batch sequences that include empty batches, batches that
+    straddle the capacity, batches larger than the capacity and capacity 1;
+    some reservoir runs start at an ``n_seen`` above 2**32."""
+    rng = np.random.default_rng(300 + (policy == "gdumb"))
+    seen = {"empty": 0, "straddle": 0, "capacity_1": 0, "slot_twice": 0}
+    for trial in range(150):
+        capacity = 1 if trial % 5 == 0 else int(rng.integers(2, 20))
+        fast, ref = RecordingBuffer(capacity, 2), RecordingBuffer(capacity, 2)
+        if policy == "reservoir" and trial % 7 == 0:
+            fast.n_seen = ref.n_seen = 2 ** 32 + int(rng.integers(0, 2 ** 20))
+        rng_fast, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(int(rng.integers(1, 12))):
+            n = int(rng.integers(0, 2 * capacity + 3))
+            rows = (rng.random((n, 2)), rng.integers(0, 4, n), rng.integers(0, 4, n),
+                    rng.integers(0, 3, n), rng.random(n) if policy == "reservoir"
+                    else np.zeros(n))
+            size, n_slots = fast.size, len(fast.slots)
+            if policy == "reservoir":
+                reservoir_update(fast, *rows, rng_fast)
+                for row in zip(*rows):
+                    reference_reservoir_update(ref, *row, rng_ref)
+            else:
+                gdumb_update(fast, *rows, rng_fast)
+                for row in zip(*rows):
+                    reference_gdumb_update(ref, *row[:4], rng_ref)
+            assert buffer_state(fast) == buffer_state(ref)
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+            new_slots = fast.slots[n_slots:]
+            seen["empty"] += n == 0
+            seen["straddle"] += size < capacity < size + n
+            seen["capacity_1"] += capacity == 1 and n > 1
+            seen["slot_twice"] += len(set(new_slots)) < len(new_slots)
+    assert all(seen.values()), seen
+
+
 def test_gdumb_keeps_class_counts_within_one():
     rng = np.random.default_rng(9)
     buf = MemoryBuffer(30, 1)
     for c in range(4):
-        for _ in range(100):
-            gdumb_update(buf, np.array([float(c)]), c, c, c // 2, rng)
+        gdumb_update(buf, *scalar_rows([float(c)] * 100, c, c // 2), rng)
     counts = np.bincount(buf.labels[:buf.size], minlength=4)
     assert len(buf) == 30
     assert counts.max() - counts.min() <= 1
@@ -367,8 +448,9 @@ def test_gdumb_keeps_class_counts_within_one():
 def test_capacity_never_exceeded_and_task_counts_exact():
     rng = np.random.default_rng(11)
     buf = MemoryBuffer(7, 1)
-    for i in range(100):
-        reservoir_update(buf, np.array([float(i)]), i % 3, i % 3, i % 4, 0.0, rng)
+    for start in range(0, 100, 5):
+        i = np.arange(start, start + 5)
+        reservoir_update(buf, *scalar_rows(i, i % 3, i % 4), rng)
         assert len(buf) <= 7
     counts = buf.task_counts()
     assert sum(counts.values()) == len(buf)

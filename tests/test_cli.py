@@ -344,6 +344,9 @@ def test_empty_synthetic_test_split_is_rejected_before_training(tmp_path):
      "--alphas: run.alpha: must be within [0, 100], got 101.0"),
     (["run"], "--seeds", "1 2", "--seeds: run.seeds: cannot parse '1 2'"),
     (["sweep-alpha"], "--alphas", "5 0", "--alphas: run.alpha: cannot parse '5 0'"),
+    (["run"], "--seeds", "", "--seeds: run.seeds: need at least one seed"),
+    (["sweep-alpha"], "--alphas", "50,50", "--alphas: must be distinct, got [50, 50]"),
+    (["sweep-alpha"], "--alphas", "0,50,50.0", "--alphas: must be distinct, got [0, 50, 50]"),
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(tiny_config, tmp_path, capsys,
                                                command, flag, text, message):

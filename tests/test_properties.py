@@ -38,13 +38,17 @@ def test_lass_scores_are_a_distribution(losses):
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=80),
+       st.integers(min_value=1, max_value=20),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_reservoir_capacity_invariant(capacity, n_items, seed):
+def test_reservoir_capacity_invariant(capacity, n_items, batch, seed):
     rng = np.random.default_rng(seed)
     buf = MemoryBuffer(capacity, 1)
-    for i in range(n_items):
-        reservoir_update(buf, np.array([float(i)]), 0, 0, 0, 0.0, rng)
+    for start in range(0, n_items, batch):
+        i = np.arange(start, min(start + batch, n_items))
+        zeros = np.zeros(len(i), dtype=np.intp)
+        reservoir_update(buf, i[:, None].astype(float), zeros, zeros, zeros,
+                         np.zeros(len(i)), rng)
         assert len(buf) <= capacity
     assert len(buf) == min(capacity, n_items)
     assert buf.n_seen == n_items

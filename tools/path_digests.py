@@ -8,7 +8,7 @@ file by relative path and content (``manifest.json`` without its
 the command's stdout and stderr. Together the configurations cover the paths the
 benchmark workloads leave out: every method, both consolidation modes,
 single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
-datasets and asymmetric noise; ``all-keys`` sets every INI key to a valid
+datasets, asymmetric noise and reservoir/GDumb buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
 non-default value, and ``abort`` (learning rate 100) diverges in its
 second task and exits 3, leaving a numerical-abort state dump
 (``model.ckpt``, ``buffer.jsonl``, ``context.json``). Each configuration
@@ -51,6 +51,11 @@ CONFIGS.update({
     "aer_lass-3epoch": (["run"], {("run", "method"): "aer_lass",
                                   ("run", "epochs_per_task"): "3"}, 0),
     "sweep-alpha": (["sweep-alpha", "--alphas", "0,50,90"], {}, 0),
+    # a buffer smaller than one batch: a single insertion call fills it,
+    # then draws slots, some of them more than once
+    "er-buffer8": (["run"], {("run", "method"): "er", ("run", "buffer_capacity"): "8"}, 0),
+    "gdumb-buffer8": (["run"], {("run", "method"): "gdumb",
+                                ("run", "buffer_capacity"): "8"}, 0),
     "ablate": (["ablate"], {}, 0),
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
     "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}, 0),
