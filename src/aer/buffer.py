@@ -6,12 +6,15 @@ asymmetric balanced variant (ABS) that replaces high-loss current-task
 entries but low-loss past-task entries, choosing the partition with a
 Bernoulli draw on the current task's share of the buffer. Each insertion
 policy takes one batch step's candidate rows as arrays in one call.
+Reservoir, LASS and ABS admit rows by reservoir sampling, and LASS/ABS
+choose only the victim, as loss-aware reservoir sampling (Buzzega et al.,
+ICPR 2020) does.
 
 A batch step of LASS/ABS victim draws keeps its not-yet-replaced slots as
 ascending index arrays, one per partition (ABS: current and past task;
-LASS: all slots). They are built once at the step's first replacement and
-each drawn slot is cut from its array, so no draw rebuilds a buffer-sized
-mask.
+LASS: all slots). They are built once, before the step's first draw, and
+each drawn slot is cut from its array, so every draw scores the same slots
+in the same order as a fresh ``flatnonzero`` over a buffer-sized mask would.
 """
 
 import hashlib
@@ -31,7 +34,7 @@ class MemoryBuffer:
     Cached per-sample losses back every score-based selection and must be
     refreshed (``refresh_losses``) before the scores are consumed. True
     labels are carried for purity audits only. ``n_seen`` counts every
-    candidate row offered to ``reservoir_update``.
+    candidate row offered to reservoir and LASS/ABS insertion.
     """
 
     def __init__(self, capacity, dim):
@@ -120,17 +123,25 @@ def _append(buffer, features, labels, true_labels, task_ids, losses):
     return n
 
 
-def reservoir_update(buffer, features, labels, true_labels, task_ids, losses, rng):
-    """Reservoir sampling over the candidate rows in order. Each row counts
-    in ``n_seen``; once the buffer is full, the row counted n-th overwrites
-    slot ``j = rng.integers(0, n)`` iff ``j < capacity``, a later row winning
-    a slot drawn twice. One ``rng.integers`` call over all the rows' n draws
-    the same values and generator state as one call per row."""
+def _admit(buffer, features, labels, true_labels, task_ids, losses, rng):
+    """Reservoir admission: append rows below capacity, count each in
+    ``n_seen``, then admit the row counted n-th iff ``j = rng.integers(0, n)``
+    is below capacity; returns the admitted rows and their ``j``. One draw
+    over all the rows' n equals one draw per row, values and generator state."""
     n = _append(buffer, features, labels, true_labels, task_ids, losses)
     slots = rng.integers(0, buffer.n_seen + np.arange(n + 1, len(features) + 1))
     buffer.n_seen += len(features)
-    for i in n + np.flatnonzero(slots < buffer.capacity):
-        buffer.overwrite(int(slots[i - n]), features[i], labels[i], true_labels[i],
+    admitted = np.flatnonzero(slots < buffer.capacity)
+    return n + admitted, slots[admitted]
+
+
+def reservoir_update(buffer, features, labels, true_labels, task_ids, losses, rng):
+    """Reservoir sampling over the candidate rows in order: each admitted
+    row (see ``_admit``) overwrites the slot it drew, a later row winning a
+    slot drawn twice."""
+    rows, slots = _admit(buffer, features, labels, true_labels, task_ids, losses, rng)
+    for i, j in zip(rows, slots):
+        buffer.overwrite(int(j), features[i], labels[i], true_labels[i],
                          task_ids[i], losses[i])
 
 
@@ -231,35 +242,21 @@ def _draw_slot(buffer, selector, rng, parts, p_current):
 
 def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
                             losses, selector, current_task, rng):
-    """Insert candidate rows, drawing victim slots via the selector.
-
-    Below capacity the rows are appended. At capacity each row draws one
-    slot without replacement within this batch step; if rows outnumber the
-    slots, later rows recycle the earliest-replaced slots so the most recent
-    capacity-many rows stay resident. Scores derive from the cached losses
-    refreshed at the start of the step.
-
-    The available-slot arrays and the partition Bernoulli probability are
-    built once, when the rows reach a full buffer, and each drawn slot
-    is then cut from its array in place, so the arrays stay ascending and
-    every draw scores the same subset in the same order as a fresh
-    ``flatnonzero`` over the not-yet-replaced slots would.
-    """
-    n = _append(buffer, features, labels, true_labels, task_ids, losses)
-    if n == len(features):
+    """Insert the rows that ``_admit`` admits, each over a victim slot the
+    selector draws without replacement within this batch step; if admitted
+    rows outnumber the slots, only the last capacity-many are drawn and
+    written. Scores derive from the cached losses refreshed at the start of
+    the step."""
+    rows, _ = _admit(buffer, features, labels, true_labels, task_ids, losses, rng)
+    if not len(rows):
         return
     # built before any slot of the full buffer is overwritten; overwritten
     # slots leave the arrays, so their new task ids never reach a draw
     parts, p_current = _available_slots(buffer, selector, current_task)
-    replaced = []
-    for i in range(n, len(features)):
-        if len(replaced) >= buffer.capacity:
-            slot = replaced[(i - n) % buffer.capacity]
-        else:
-            k, j = _draw_slot(buffer, selector, rng, parts, p_current)
-            slot = int(parts[k][j])
-            parts[k] = np.concatenate((parts[k][:j], parts[k][j + 1:]))
-            replaced.append(slot)
+    for i in rows[-buffer.capacity:]:
+        k, j = _draw_slot(buffer, selector, rng, parts, p_current)
+        slot = int(parts[k][j])
+        parts[k] = np.concatenate((parts[k][:j], parts[k][j + 1:]))
         buffer.overwrite(slot, features[i], labels[i], true_labels[i],
                          task_ids[i], losses[i])
 

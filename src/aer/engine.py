@@ -3,7 +3,7 @@
 Runs per-task training with either the standard every-epoch rehearsal
 protocol or the alternating schedule: learning epochs train on stream plus
 replay with the buffer frozen, forgetting epochs train on the stream only,
-update the buffer through gated insertion plus score-based replacement,
+update the buffer through gated, reservoir-admitted score-based replacement,
 and restore the model checkpoint taken at the epoch start so only
 learning-epoch updates persist.
 """

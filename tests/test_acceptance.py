@@ -193,10 +193,10 @@ def test_08_purity_reproduction(bench):
     ABS prefers to evict low-loss entries, and noisy entries carry the higher
     loss (test_07), so its past rule evicts clean entries first. Measured
     with ``tools/eviction_audit.py`` (seeds 0-4, 40 % noise), past-task
-    draws evict noisy entries at 0.134 against a partition noisy share of
-    0.174 for ABS, and at 0.186 against 0.071 for LASS; task-end past-task
-    purity is 0.753 for ABS and 0.984 for LASS, current-task purity 0.864
-    and 0.870. What ABS promises over LASS, keeping harder past samples, is
+    draws evict noisy entries at 0.155 against a partition noisy share of
+    0.185 for ABS, and at 0.275 against 0.116 for LASS; task-end past-task
+    purity is 0.818 for ABS and 0.922 for LASS, current-task purity 0.846
+    and 0.880. What ABS promises over LASS, keeping harder past samples, is
     checked by
     ``tests/test_buffer.py::test_abs_buffer_more_diverse_than_lass_on_benchmark``.
     """

@@ -173,24 +173,31 @@ def test_replace_full_buffer_changes_exactly_one():
 
 
 def test_replace_overflow_keeps_last_m_by_draw_order():
-    rng = np.random.default_rng(5)
+    """When a step admits more rows than the capacity, the last
+    capacity-many admitted rows stay resident."""
     buf = filled_buffer([0.5, 0.6, 0.7, 0.8], tasks=[0, 0, 1, 1])
-    replace_with_candidates(buf, *cand_arrays([10.0, 11.0, 12.0, 13.0, 14.0, 15.0]),
-                            selector="abs", current_task=1, rng=rng)
-    assert len(buf) == 4
-    resident = sorted(buf.features[:4, 0].tolist())
-    assert resident == [12.0, 13.0, 14.0, 15.0]
+    values = 10.0 + np.arange(8)
+    # the admission draw replace_with_candidates makes first (n_seen 0)
+    admitted = values[np.random.default_rng(5).integers(0, np.arange(1, 9)) < 4]
+    assert len(admitted) > 4
+    replace_with_candidates(buf, *cand_arrays(values), selector="abs",
+                            current_task=1, rng=np.random.default_rng(5))
+    assert len(buf) == 4 and buf.n_seen == 8
+    assert sorted(buf.features[:4, 0].tolist()) == admitted[-4:].tolist()
 
 
 class RecordingBuffer(MemoryBuffer):
-    """MemoryBuffer that records the slot of every overwrite."""
+    """MemoryBuffer that records the slot and the features of every
+    overwrite."""
 
     def __init__(self, capacity, dim):
         super().__init__(capacity, dim)
         self.slots = []
+        self.written = []
 
     def overwrite(self, i, *entry):
         self.slots.append(i)
+        self.written.append(tuple(entry[0]))
         super().overwrite(i, *entry)
 
 
@@ -215,28 +222,28 @@ def reference_draw(buffer, selector, rng, available, current, p_current):
 
 def reference_replace(buffer, features, labels, true_labels, task_ids, losses,
                       selector, current_task, rng):
-    """``replace_with_candidates`` as first written: a capacity-sized
-    ``available`` mask rebuilt for every draw."""
-    current = p_current = None
-    replaced = []
-    overflow = 0
+    """``replace_with_candidates`` as first written, behind the per-row
+    admission of ``reference_reservoir_update``: a capacity-sized
+    ``available`` mask rebuilt for every victim draw. Returns how many rows
+    were admitted."""
+    admitted = []
     for i in range(len(features)):
+        buffer.n_seen += 1
         if buffer.size < buffer.capacity:
             buffer.add(features[i], labels[i], true_labels[i], task_ids[i], losses[i])
-            continue
-        if len(replaced) >= buffer.capacity:
-            slot = replaced[overflow % buffer.capacity]
-            overflow += 1
-        else:
-            if current is None:
-                current = buffer.task_ids[:buffer.size] == current_task
-                p_current = current.sum() / buffer.size
-            available = np.ones(buffer.size, dtype=bool)
-            available[replaced] = False
-            slot = reference_draw(buffer, selector, rng, available, current, p_current)
-            replaced.append(slot)
+        elif int(rng.integers(0, buffer.n_seen)) < buffer.capacity:
+            admitted.append(i)
+    if not admitted:
+        return 0
+    current = buffer.task_ids[:buffer.size] == current_task
+    p_current = current.sum() / buffer.size
+    available = np.ones(buffer.size, dtype=bool)
+    for i in admitted[-buffer.capacity:]:
+        slot = reference_draw(buffer, selector, rng, available, current, p_current)
+        available[slot] = False
         buffer.overwrite(slot, features[i], labels[i], true_labels[i],
                          task_ids[i], losses[i])
+    return len(admitted)
 
 
 BUFFER_KINDS = ("mixed", "all_current", "all_past", "zero_losses")
@@ -260,27 +267,62 @@ def clone(buf):
     for i in range(buf.size):
         twin.add(buf.features[i], buf.labels[i], buf.true_labels[i],
                  buf.task_ids[i], buf.losses[i])
+    twin.n_seen = buf.n_seen
     return twin
 
 
 @pytest.mark.parametrize("kind", BUFFER_KINDS)
 @pytest.mark.parametrize("selector", ["lass", "abs"])
 def test_replace_draws_match_reference_byte_for_byte(selector, kind):
-    """Same slot sequence, same buffer bytes and same generator state as
-    the mask-and-``rng.choice`` draw, including the uniform fallback and
-    candidates that outnumber the capacity."""
+    """Same slot sequence, same buffer bytes, ``n_seen`` and generator state
+    as per-row admission followed by the mask-and-``rng.choice`` draw,
+    including the uniform fallback, steps that admit no row and steps that
+    admit more rows than the capacity."""
     rng = np.random.default_rng(100 + BUFFER_KINDS.index(kind))
+    seen = {"none_admitted": 0, "overflow": 0}
     for trial in range(50):
         fast = random_buffer(rng, kind)
+        fast.n_seen = int(rng.integers(0, 3 * fast.capacity))
         ref = clone(fast)
         n = int(rng.integers(1, 2 * fast.capacity + 2))
         cands = cand_arrays(100.0 + np.arange(n), task=2)
         rng_fast, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
         replace_with_candidates(fast, *cands, selector, 2, rng_fast)
-        reference_replace(ref, *cands, selector, 2, rng_ref)
+        admitted = reference_replace(ref, *cands, selector, 2, rng_ref)
         assert fast.slots == ref.slots
         assert fast.features.tobytes() == ref.features.tobytes()
+        assert fast.n_seen == ref.n_seen
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+        seen["none_admitted"] += admitted == 0
+        seen["overflow"] += admitted > fast.capacity
+    assert all(seen.values()), seen
+
+
+def test_every_buffer_policy_admits_the_same_rows():
+    """From the same full buffer, ``n_seen`` and generator seed, reservoir,
+    LASS and ABS insertion write the same candidate rows in the same order
+    and leave the same ``n_seen``: admission is one rule, the selector
+    decides only the victim. At most ``capacity`` rows are offered."""
+    rng = np.random.default_rng(400)
+    seen = {"admitted": 0, "rejected": 0}
+    for trial in range(20):
+        start = random_buffer(rng, "mixed")
+        start.n_seen = int(rng.integers(start.capacity, 4 * start.capacity))
+        n = int(rng.integers(1, start.capacity + 1))
+        cands = cand_arrays(100.0 + np.arange(n), task=2)
+        written, n_seen = [], []
+        for insert in (lambda b, r: reservoir_update(b, *cands, r),
+                       lambda b, r: replace_with_candidates(b, *cands, "lass", 2, r),
+                       lambda b, r: replace_with_candidates(b, *cands, "abs", 2, r)):
+            buf = clone(start)
+            insert(buf, np.random.default_rng(trial))
+            written.append(buf.written)
+            n_seen.append(buf.n_seen)
+        assert written[0] == written[1] == written[2]
+        assert n_seen[0] == n_seen[1] == n_seen[2] == start.n_seen + n
+        seen["admitted"] += len(written[0]) > 0
+        seen["rejected"] += len(written[0]) < n
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("kind", BUFFER_KINDS)

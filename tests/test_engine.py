@@ -255,6 +255,23 @@ def test_er_ace_abs_updates_buffer_without_alternation():
     assert rec.final_purity is not None
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_abs_keeps_every_past_task(seed):
+    """On the standard benchmark, ABS ends the last task holding at least
+    capacity / (2 * tasks) entries of every task: reservoir admission keeps
+    each task's share of the buffer near capacity / tasks."""
+    cfg = RunConfig(method="aer_abs").validate()
+    counts = {}
+
+    def on_task_end(t, model, buffer):
+        if t == cfg.tasks - 1:
+            counts.update(buffer.task_counts())
+
+    run_single(cfg, seed, on_task_end=on_task_end)
+    floor = cfg.buffer_capacity // (2 * cfg.tasks)
+    assert all(counts.get(t, 0) >= floor for t in range(cfg.tasks)), counts
+
+
 def test_numerical_abort_writes_state_dump(tmp_path):
     cfg = tiny_cfg(lr=1e12)
     with pytest.raises(NumericalError, match="state dump"):

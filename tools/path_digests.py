@@ -8,11 +8,12 @@ file by relative path and content (``manifest.json`` without its
 the command's stdout and stderr. Together the configurations cover the paths the
 benchmark workloads leave out: every method, both consolidation modes,
 single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
-datasets, asymmetric noise and reservoir/GDumb buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
-non-default value, and ``abort`` (learning rate 100) diverges in its
-second task and exits 3, leaving a numerical-abort state dump
-(``model.ckpt``, ``buffer.jsonl``, ``context.json``). Each configuration
-declares the exit code it must end with.
+datasets, asymmetric noise and reservoir/GDumb/ABS buffers smaller than a
+batch; ``all-keys`` sets every INI key to a valid non-default value, and
+``abort`` (learning rate 100) diverges in its second task and exits 3,
+leaving a numerical-abort state dump (``model.ckpt``, ``buffer.jsonl``,
+``context.json``). Each configuration declares the exit code it must end
+with.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -56,6 +57,9 @@ CONFIGS.update({
     "er-buffer8": (["run"], {("run", "method"): "er", ("run", "buffer_capacity"): "8"}, 0),
     "gdumb-buffer8": (["run"], {("run", "method"): "gdumb",
                                 ("run", "buffer_capacity"): "8"}, 0),
+    # one ABS step admits more rows than the capacity, so only the last
+    # capacity-many admitted rows draw victims
+    "abs-buffer2": (["run"], {("run", "buffer_capacity"): "2", ("run", "alpha"): "0"}, 0),
     "ablate": (["ablate"], {}, 0),
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
     "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}, 0),
