@@ -7,8 +7,8 @@ entries but low-loss past-task entries, choosing the partition with a
 Bernoulli draw on the current task's share of the buffer. Each insertion
 policy takes one batch step's candidate rows as arrays in one call.
 Reservoir, LASS and ABS admit rows by reservoir sampling, and LASS/ABS
-choose only the victim, as loss-aware reservoir sampling (Buzzega et al.,
-ICPR 2020) does.
+choose only the victim, rescoring the buffer only in a step that admits a
+row, as loss-aware reservoir sampling (Buzzega et al., ICPR 2020) does.
 
 A batch step of LASS/ABS victim draws keeps its not-yet-replaced slots as
 ascending index arrays, one per partition (ABS: current and past task;
@@ -31,9 +31,9 @@ from .mlp import per_sample_ce
 class MemoryBuffer:
     """Flat-array store of up to ``capacity`` labelled feature vectors.
 
-    Cached per-sample losses back every score-based selection and must be
-    refreshed (``refresh_losses``) before the scores are consumed. True
-    labels are carried for purity audits only. ``n_seen`` counts every
+    Cached per-sample losses back every score-based selection; LASS/ABS
+    refresh them in each step that draws a victim (``replace_with_candidates``).
+    True labels are carried for purity audits only. ``n_seen`` counts every
     candidate row offered to reservoir and LASS/ABS insertion.
     """
 
@@ -79,12 +79,11 @@ class MemoryBuffer:
         ids, counts = np.unique(self.task_ids[:self.size], return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
-    def refresh_losses(self, model):
-        """Recompute cached losses of all entries under the given model."""
-        if self.size == 0:
-            return
-        logits = model.forward(self.features[:self.size])
-        self.losses[:self.size] = per_sample_ce(logits, self.labels[:self.size])
+    def refresh_losses(self, model, n=None):
+        """Recompute the cached losses of the first n (default all) entries."""
+        n = self.size if n is None else n
+        logits = model.forward(self.features[:n])
+        self.losses[:n] = per_sample_ce(logits, self.labels[:n])
 
     def content_hash(self):
         """Digest of entry identities (features, labels, tasks, ticks).
@@ -241,15 +240,19 @@ def _draw_slot(buffer, selector, rng, parts, p_current):
 
 
 def replace_with_candidates(buffer, features, labels, true_labels, task_ids,
-                            losses, selector, current_task, rng):
+                            losses, selector, current_task, rng, model=None):
     """Insert the rows that ``_admit`` admits, each over a victim slot the
     selector draws without replacement within this batch step; if admitted
     rows outnumber the slots, only the last capacity-many are drawn and
-    written. Scores derive from the cached losses refreshed at the start of
-    the step."""
+    written. Once a row is admitted, the entries held before the call are
+    rescored under ``model`` (if given); rows appended by the call keep their
+    candidate loss."""
+    held = buffer.size
     rows, _ = _admit(buffer, features, labels, true_labels, task_ids, losses, rng)
     if not len(rows):
         return
+    if model is not None and held:
+        buffer.refresh_losses(model, held)
     # built before any slot of the full buffer is overwritten; overwritten
     # slots leave the arrays, so their new task ids never reach a draw
     parts, p_current = _available_slots(buffer, selector, current_task)

@@ -30,8 +30,8 @@ ABLATION_VARIANTS = [
                                     alpha_gate=True, alternate=True)),
     ("er_ace_abs", PRESETS["er_ace_abs"]),
     ("full_aer_abs", PRESETS["aer_abs"]),
-    ("full_minus_ace", MethodSpec("full_minus_ace", alpha_gate=True,
-                                  alternate=True, selector="abs")),
+    ("full_minus_ace", MethodSpec("full_minus_ace", policy="abs", alpha_gate=True,
+                                  alternate=True)),
 ]
 
 
@@ -164,6 +164,8 @@ def _variants(args, cfg):
     spec = resolve_method(cfg.method)
     if args.command == "run":
         return [(cfg.method, cfg, spec)]
+    if not spec.alpha_gate:
+        raise ConfigError(f"--alphas: {cfg.method} has no alpha gate to sweep")
     cfgs = [_apply_flag(cfg, "--alphas", "run.alpha", a)
             for a in args.alphas.split(",") if a.strip()]
     if not cfgs:

@@ -158,7 +158,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     checkpoint is restored (checked bitwise). Any other task inserts in
     every epoch. Replay is masked to the classes of tasks ``0..t``. An
     inserting batch hands its candidate rows (the alpha-gated slice or the
-    whole batch) to the method's insertion policy in one call.
+    whole batch) to the method's insertion policy in one call, before the
+    SGD step, so LASS/ABS score their victims under the model that scored
+    the batch.
     """
     task_classes = stream.task_classes(t)
     seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
@@ -170,32 +172,28 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     hash_checks = 0
     for e, mode in enumerate(modes):
         forgetting = mode == "forgetting"
-        inserting = spec.uses_buffer and (forgetting or not frozen)
+        inserting = spec.policy is not None and (forgetting or not frozen)
         if forgetting:
             ckpt = save_checkpoint(model)
         elif frozen:
             pre_hash = buffer.content_hash()
         loss_sum, loss_count = 0.0, 0
         for batch in stream.batches(t, e):
-            if (inserting and spec.selector in ("lass", "abs")
-                    and not spec.gdumb and len(buffer)):
-                buffer.refresh_losses(model)
-            if spec.gdumb:
-                losses = np.zeros(len(batch))  # GDumb trains on its buffer only
+            if spec.policy == "gdumb":
+                losses, grads = np.zeros(len(batch)), None  # trains on its buffer only
             else:
                 smask = task_classes if spec.ace else None
                 logits, cache = model.forward(batch.features, cache=True)
                 losses = per_sample_ce(logits, batch.labels, smask)
                 grads = model.backward(cache,
                                        ce_gradient(logits, batch.labels, smask))
-                if not forgetting and spec.uses_buffer and len(buffer):
+                if not forgetting and spec.policy is not None and len(buffer):
                     replay = replay_batch(buffer, cfg.batch_size, rngs.replay)
                     rmask = seen_sorted if spec.ace else None
                     rlogits, rcache = model.forward(replay.features, cache=True)
                     rgrads = model.backward(
                         rcache, ce_gradient(rlogits, replay.labels, rmask))
                     grads += rgrads
-                model.apply_step(grads)
                 loss_sum += float(losses.sum())
                 loss_count += len(losses)
             if inserting:
@@ -206,17 +204,19 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 if len(rows):
                     cand = (buffer, batch.features[rows], batch.labels[rows],
                             batch.true_labels[rows], np.full(len(rows), t), losses[rows])
-                    if spec.gdumb:
+                    if spec.policy == "gdumb":
                         gdumb_update(*cand, rngs.buffer)
-                    elif spec.selector == "reservoir":
+                    elif spec.policy == "reservoir":
                         reservoir_update(*cand, rngs.buffer)
                     else:
-                        replace_with_candidates(*cand, spec.selector, t, rngs.buffer)
+                        replace_with_candidates(*cand, spec.policy, t, rngs.buffer, model)
+            if grads is not None:
+                model.apply_step(grads)
         trace = {"task": t, "epoch": e, "mode": mode,
                  "stream_loss": loss_sum / loss_count if loss_count else None,
                  "buffer_clean_loss": None, "buffer_noisy_loss": None,
                  "buffer_purity": None}
-        if spec.uses_buffer and len(buffer):
+        if spec.policy is not None and len(buffer):
             clean_mean, noisy_mean = separation_trace(buffer, model)
             trace["buffer_clean_loss"] = clean_mean
             trace["buffer_noisy_loss"] = noisy_mean
@@ -280,7 +280,8 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
     rngs = SimpleNamespace(replay=np.random.default_rng([seed, 21]),
                            buffer=np.random.default_rng([seed, 22]),
                            consolidation=np.random.default_rng([seed, 23]))
-    buffer = MemoryBuffer(cfg.buffer_capacity, data.train.dim) if spec.uses_buffer else None
+    buffer = (MemoryBuffer(cfg.buffer_capacity, data.train.dim)
+              if spec.policy is not None else None)
     record.matrix = AccuracyMatrix(t_count)
     for t in range(t_count):
         try:
@@ -294,7 +295,7 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
                 report["task"] = t
                 record.consolidation_reports.append(report)
             eval_model = model
-            if spec.gdumb:
+            if spec.policy == "gdumb":
                 eval_model = MLP(data.train.dim, data.train.num_classes,
                                  cfg.hidden, cfg.gdumb_fit_lr, cfg.momentum,
                                  seed=[seed, 24, t])
@@ -312,7 +313,7 @@ def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
         record.traces[-1]["accuracy_row"] = row
         if on_task_end is not None:
             on_task_end(t, eval_model, buffer)
-    if spec.uses_buffer and len(buffer):
+    if spec.policy is not None and len(buffer):
         record.final_purity = buffer_mod.purity(buffer)[0]
         if reference_model is not None:
             record.final_diversity = buffer_mod.diversity(buffer, reference_model)[0]

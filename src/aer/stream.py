@@ -75,12 +75,6 @@ class NoiseSpec:
             missing = [c for c in range(num_classes) if c not in self.superclass_map]
             if missing:
                 raise InputError(f"superclass map missing classes {missing}")
-            sizes = {}
-            for c in range(num_classes):
-                sizes.setdefault(self.superclass_map[c], []).append(c)
-            small = {s: members for s, members in sizes.items() if len(members) < 2}
-            if small:
-                raise InputError(f"every superclass needs >= 2 classes, got {small}")
 
 
 def default_superclass_pairs(num_classes):

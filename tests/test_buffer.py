@@ -5,7 +5,7 @@ from aer.buffer import (MemoryBuffer, abs_select, diversity, gdumb_update,
                         insertion_candidates, lass_scores, purity,
                         replace_with_candidates, reservoir_update)
 from aer.errors import InputError, NumericalError
-from aer.mlp import MLP
+from aer.mlp import MLP, per_sample_ce
 
 
 def filled_buffer(losses, tasks=None, capacity=None, true_labels=None, dim=2):
@@ -535,3 +535,26 @@ def test_replace_crossing_capacity_in_one_call():
     replace_with_candidates(buf, *cand_arrays([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
                             selector="abs", current_task=9, rng=rng)
     assert len(buf) == 4
+
+
+def test_crossing_step_rescores_held_rows_and_keeps_appended_losses():
+    """A call that appends rows and then draws rescores, under ``model``,
+    only the rows held before it; appended rows keep their candidate loss,
+    and the draws equal those of a refresh made before the call."""
+    model = MLP(2, 2, (4,), 0.1, 0.0, seed=[0])
+    buf = RecordingBuffer(4, 2)
+    for i, loss in enumerate([0.5, 0.6]):
+        buf.add(np.full(2, float(i)), i % 2, i % 2, i, loss)
+    twin = clone(buf)
+    expected = per_sample_ce(model.forward(buf.features[:2]), buf.labels[:2])
+    # n_seen 0: rows 0-1 are appended, rows 2-3 draw j < 3 and j < 4, both admitted
+    cands = cand_arrays([1.0, 2.0, 3.0, 4.0], task=1)
+    replace_with_candidates(buf, *cands, "abs", 1, np.random.default_rng(1), model)
+    twin.refresh_losses(model)
+    replace_with_candidates(twin, *cands, "abs", 1, np.random.default_rng(1))
+    assert len(buf.slots) == 2 and buf.slots == twin.slots
+    assert buf.losses.tobytes() == twin.losses.tobytes()
+    kept = [s for s in range(4) if s not in buf.slots]
+    assert min(kept) < 2 <= max(kept), buf.slots  # one held and one appended row kept
+    for s in kept:
+        assert buf.losses[s] == (expected[s] if s < 2 else cands[4][s - 2])

@@ -108,6 +108,15 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "none.ini" in capsys.readouterr().err
 
 
+def test_one_class_superclass_exits_2_naming_the_field(tiny_config, tmp_path, capsys):
+    tiny_config.write_text(TINY.replace(
+        "kind = symmetric", "kind = asymmetric\nsuperclasses = 0:0,1:1,2:1,3:1"))
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: noise.superclasses: asymmetric noise impossible: "
+        "class 0 has no partner inside its superclass within its task\n")
+
+
 def test_numerical_abort_exits_3_with_dump(tiny_config, tmp_path, capsys):
     cfg = tmp_path / "explode.ini"
     cfg.write_text(TINY.replace("lr = 0.05", "lr = 1e12"))
@@ -347,11 +356,17 @@ def test_empty_synthetic_test_split_is_rejected_before_training(tmp_path):
     (["run"], "--seeds", "", "--seeds: run.seeds: need at least one seed"),
     (["sweep-alpha"], "--alphas", "50,50", "--alphas: must be distinct, got [50, 50]"),
     (["sweep-alpha"], "--alphas", "0,50,50.0", "--alphas: must be distinct, got [0, 50, 50]"),
+    (["sweep-alpha", "er"], "--alphas", "0,90",
+     "--alphas: er has no alpha gate to sweep"),
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(tiny_config, tmp_path, capsys,
                                                command, flag, text, message):
+    """``command`` is the subcommand, then optionally the config's method."""
+    subcommand, *method = command
+    if method:
+        tiny_config.write_text(TINY.replace("method = aer_abs", f"method = {method[0]}"))
     out = tmp_path / "out"
-    assert main([*command, "--config", str(tiny_config), flag, text,
+    assert main([subcommand, "--config", str(tiny_config), flag, text,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()

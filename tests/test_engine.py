@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from types import SimpleNamespace
 
+from aer import buffer as buffer_mod
+from aer import engine
 from aer.buffer import MemoryBuffer
 from aer.config import RunConfig
 from aer.engine import (PRESETS, alternation_schedule, prepare_data,
                         replay_batch, resolve_method, run_single, train_task)
 from aer.errors import ConfigError, InputError, NumericalError
 from aer.mlp import MLP, save_checkpoint
-from aer.stream import Dataset, split_tasks
+from aer.stream import Dataset, TaskStream, split_tasks
 
 
 def tiny_cfg(**overrides):
@@ -292,3 +294,71 @@ def test_trace_records_have_accuracy_rows_at_task_end():
     rows = [t for t in rec.traces if "accuracy_row" in t]
     assert len(rows) == cfg.tasks
     assert len(rows[-1]["accuracy_row"]) == cfg.tasks
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass"])
+def test_every_refresh_is_followed_by_a_victim_draw(method, monkeypatch):
+    """LASS/ABS rescore the buffer only in a step that draws a victim."""
+    events = []
+    real_refresh, real_draw = MemoryBuffer.refresh_losses, buffer_mod._draw_slot
+
+    def refresh(self, *args, **kwargs):
+        events.append("refresh")
+        return real_refresh(self, *args, **kwargs)
+
+    def draw(*args, **kwargs):
+        events.append("draw")
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(MemoryBuffer, "refresh_losses", refresh)
+    monkeypatch.setattr(buffer_mod, "_draw_slot", draw)
+    run_single(tiny_cfg(method=method), 0)
+    assert "refresh" in events
+    for i, event in enumerate(events):
+        if event == "refresh":
+            assert events[i + 1:i + 2] == ["draw"], i
+
+
+def test_refresh_at_every_inserting_step_draws_the_same_victims(monkeypatch):
+    """A refresh added at the top of every inserting step, where LASS/ABS
+    scores were once refreshed, moves no victim: the in-call refresh scores
+    under the same pre-step model."""
+    cfg = tiny_cfg()
+    live = {}
+
+    class Recording(MemoryBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live["buffer"], self.slots = self, []
+
+        def overwrite(self, i, *entry):
+            self.slots.append(i)
+            super().overwrite(i, *entry)
+
+    class Tracked(MLP):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live["model"] = self
+
+    def run():
+        ends = []
+        run_single(cfg, 0, on_task_end=lambda t, model, buf:
+                   ends.append((buf.n_seen, buf.content_hash())))
+        return live["buffer"].slots, ends
+
+    monkeypatch.setattr(engine, "MemoryBuffer", Recording)
+    monkeypatch.setattr(engine, "MLP", Tracked)
+    plain = run()
+    real_batches, modes = TaskStream.batches, alternation_schedule(cfg.epochs_per_task)
+    added = []
+
+    def batches(self, t, e):
+        for batch in real_batches(self, t, e):
+            if modes[e] == "forgetting" and len(live["buffer"]):
+                live["buffer"].refresh_losses(live["model"])
+                added.append(t)
+            yield batch
+
+    monkeypatch.setattr(TaskStream, "batches", batches)
+    assert run() == plain
+    assert added and plain[0]

@@ -17,6 +17,7 @@ Outputs are unchanged by the audit: the wrappers only read buffer state.
 """
 
 import argparse
+import inspect
 
 import numpy as np
 
@@ -30,12 +31,11 @@ def audit(method, noise_rate, seeds):
     draws = {True: [], False: []}  # is-current -> [(evicted noisy, partition noisy share)]
     ends = {True: [], False: []}   # is-current -> per-seed lists of task-end purities
     real_replace, real_draw = engine.replace_with_candidates, buffer_mod._draw_slot
+    signature = inspect.signature(real_replace)
 
-    def replace(buffer, features, labels, true_labels, task_ids, losses,
-                selector, current_task, rng):
-        state["task"] = current_task
-        return real_replace(buffer, features, labels, true_labels, task_ids,
-                            losses, selector, current_task, rng)
+    def replace(*args, **kwargs):
+        state["task"] = signature.bind(*args, **kwargs).arguments["current_task"]
+        return real_replace(*args, **kwargs)
 
     def draw(buffer, selector, rng, parts, p_current):
         k, j = real_draw(buffer, selector, rng, parts, p_current)
