@@ -7,9 +7,8 @@ consolidation, standard rehearsal baselines and an evaluation kit.
 
 __version__ = "0.1.0"
 
-from .buffer import (MemoryBuffer, abs_select, diversity, insertion_candidates,
-                     lass_scores, purity, replace_with_candidates,
-                     reservoir_update)
+from .buffer import (MemoryBuffer, diversity, insertion_candidates, purity,
+                     replace_with_candidates, reservoir_update)
 from .config import PRESETS, MethodSpec, RunConfig, config_hash, load_config
 from .consolidation import (buffer_fit, corefine_labels, fit_gmm_em,
                             mixmatch_consolidate, sharpen, split_pure_uncertain)

@@ -7,8 +7,13 @@ entries but low-loss past-task entries, choosing the partition with a
 Bernoulli draw on the current task's share of the buffer. Each insertion
 policy takes one batch step's candidate rows as arrays in one call.
 Reservoir, LASS and ABS admit rows by reservoir sampling, and LASS/ABS
-choose only the victim, rescoring the buffer only in a step that admits a
-row, as loss-aware reservoir sampling (Buzzega et al., ICPR 2020) does.
+choose only the victim, by cached losses scored under the model that
+outlives the step. A step that admits a row first rescores the held
+entries under the live model, except in a forgetting epoch, whose drift
+the restored checkpoint discards: there the engine rescores once, under
+the epoch-start model, and rows written during the epoch keep their
+candidate loss (cf. loss-aware reservoir sampling, Buzzega et al., ICPR
+2020, which scores an entry when it is inserted, not at every draw).
 
 A batch step of LASS/ABS victim draws keeps its not-yet-replaced slots as
 ascending index arrays, one per partition (ABS: current and past task;
@@ -32,7 +37,8 @@ class MemoryBuffer:
     """Flat-array store of up to ``capacity`` labelled feature vectors.
 
     Cached per-sample losses back every score-based selection; LASS/ABS
-    refresh them in each step that draws a victim (``replace_with_candidates``).
+    refresh them in each step that draws a victim (``replace_with_candidates``)
+    or, in a forgetting epoch, once at its start (``engine.train_task``).
     True labels are carried for purity audits only. ``n_seen`` counts every
     candidate row offered to reservoir and LASS/ABS insertion.
     """
@@ -174,28 +180,6 @@ def _score_probabilities(scores):
     if total <= 0.0:
         return np.full(len(scores), 1.0 / len(scores))
     return scores / total
-
-
-def lass_scores(buffer):
-    """Loss-proportional replacement distribution over all entries."""
-    if len(buffer) == 0:
-        raise InputError("buffer is empty")
-    return _score_probabilities(buffer.losses[:buffer.size])
-
-
-def abs_select(buffer, current_task, rng):
-    """Draw one entry index to replace under asymmetric balanced sampling.
-
-    The partition (current vs past task) is chosen by a Bernoulli draw with
-    P(current) = |current entries| / |buffer|; an empty chosen partition
-    falls back to the other. Within the current partition the replacement
-    probability grows with loss, within the past partition it shrinks.
-    """
-    if len(buffer) == 0:
-        raise InputError("buffer is empty")
-    parts, p_current = _available_slots(buffer, "abs", current_task)
-    k, j = _draw_slot(buffer, "abs", rng, parts, p_current)
-    return int(parts[k][j])
 
 
 def _available_slots(buffer, selector, current_task):

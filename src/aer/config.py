@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 CONSOLIDATION_MODES = ("none", "buffer_fit", "mixmatch")
+POLICIES = (None, "reservoir", "gdumb", "lass", "abs")
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,11 @@ class MethodSpec:
     alpha_gate: bool = False
     alternate: bool = False
     joint: bool = False
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ConfigError(f"policy: must be one of {', '.join(map(str, POLICIES))}, "
+                              f"got {self.policy!r}")
 
     @property
     def consolidates(self):

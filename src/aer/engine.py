@@ -159,8 +159,10 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     every epoch. Replay is masked to the classes of tasks ``0..t``. An
     inserting batch hands its candidate rows (the alpha-gated slice or the
     whole batch) to the method's insertion policy in one call, before the
-    SGD step, so LASS/ABS score their victims under the model that scored
-    the batch.
+    SGD step. LASS/ABS draw their victims by losses under the model that
+    outlives the step: in a forgetting epoch that is the checkpoint, so the
+    buffer is rescored once at the epoch start and the call gets no model;
+    otherwise the call rescores under the live model, which scored the batch.
     """
     task_classes = stream.task_classes(t)
     seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
@@ -175,6 +177,8 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
         inserting = spec.policy is not None and (forgetting or not frozen)
         if forgetting:
             ckpt = save_checkpoint(model)
+            if spec.policy in ("lass", "abs") and len(buffer):
+                buffer.refresh_losses(model)
         elif frozen:
             pre_hash = buffer.content_hash()
         loss_sum, loss_count = 0.0, 0
@@ -209,7 +213,8 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                     elif spec.policy == "reservoir":
                         reservoir_update(*cand, rngs.buffer)
                     else:
-                        replace_with_candidates(*cand, spec.policy, t, rngs.buffer, model)
+                        replace_with_candidates(*cand, spec.policy, t, rngs.buffer,
+                                                None if forgetting else model)
             if grads is not None:
                 model.apply_step(grads)
         trace = {"task": t, "epoch": e, "mode": mode,

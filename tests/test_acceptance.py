@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from aer.buffer import MemoryBuffer, abs_select, insertion_candidates, lass_scores, reservoir_update
+from aer.buffer import (MemoryBuffer, _available_slots, _draw_slot, _score_probabilities,
+                        insertion_candidates, reservoir_update)
 from aer.cli import main
 from aer.config import RunConfig
 from aer.consolidation import fit_gmm_em
@@ -122,14 +123,16 @@ def test_04_sampler_contracts():
     for i in range(500):
         buf.add(np.array([float(i)]), 0, 0, 1 if i < 250 else 0,
                 float(feat_rng.random() + 0.05))
-    hits = sum(buf.task_ids[abs_select(buf, 1, rng)] == 1 for _ in range(10_000))
+    parts, p_current = _available_slots(buf, "abs", 1)
+    hits = sum(_draw_slot(buf, "abs", rng, parts, p_current)[0] == 0 for _ in range(10_000))
     freq = hits / 10_000
     assert abs(freq - 0.5) < 0.02, f"partition frequency {freq:.4f}"
 
     two = MemoryBuffer(2, 1)
     two.add(np.zeros(1), 0, 0, 0, 1.0)
     two.add(np.zeros(1), 0, 0, 0, 3.0)
-    probs = lass_scores(two)
+    (slots,), _ = _available_slots(two, "lass", 0)
+    probs = _score_probabilities(two.losses[slots])
     assert abs(probs[0] - 0.25) < 1e-9 and abs(probs[1] - 0.75) < 1e-9
 
     losses = np.random.default_rng(3).random(32)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from aer.config import RunConfig, config_hash, load_config, parse_superclasses
+from aer.config import (MethodSpec, RunConfig, config_hash, load_config,
+                        parse_superclasses)
 from aer.errors import ConfigError
 
 
@@ -25,6 +26,13 @@ def test_spec_defaults():
     assert cfg.gmm_threshold == 0.5
     assert cfg.hidden == (64, 64)
     assert cfg.momentum == 0.0
+
+
+@pytest.mark.parametrize("policy", ["lasso", "", "ABS"])
+def test_method_spec_rejects_an_unknown_policy(policy):
+    with pytest.raises(ConfigError, match=r"^policy: must be one of None, reservoir, "
+                                          r"gdumb, lass, abs, got"):
+        MethodSpec("typo", policy=policy)
 
 
 def test_hash_stable_under_key_reordering(tmp_path):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from types import SimpleNamespace
@@ -9,7 +11,7 @@ from aer.config import RunConfig
 from aer.engine import (PRESETS, alternation_schedule, prepare_data,
                         replay_batch, resolve_method, run_single, train_task)
 from aer.errors import ConfigError, InputError, NumericalError
-from aer.mlp import MLP, save_checkpoint
+from aer.mlp import MLP, per_sample_ce, save_checkpoint
 from aer.stream import Dataset, TaskStream, split_tasks
 
 
@@ -296,9 +298,11 @@ def test_trace_records_have_accuracy_rows_at_task_end():
     assert len(rows[-1]["accuracy_row"]) == cfg.tasks
 
 
-@pytest.mark.parametrize("method", ["aer_abs", "aer_lass"])
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass", "er_ace_abs"])
 def test_every_refresh_is_followed_by_a_victim_draw(method, monkeypatch):
-    """LASS/ABS rescore the buffer only in a step that draws a victim."""
+    """LASS/ABS rescore the buffer only where a victim draw reads the scores
+    before the next rescoring: in a step that draws one, or at the start of
+    a forgetting epoch."""
     events = []
     real_refresh, real_draw = MemoryBuffer.refresh_losses, buffer_mod._draw_slot
 
@@ -320,10 +324,10 @@ def test_every_refresh_is_followed_by_a_victim_draw(method, monkeypatch):
 
 
 def test_refresh_at_every_inserting_step_draws_the_same_victims(monkeypatch):
-    """A refresh added at the top of every inserting step, where LASS/ABS
-    scores were once refreshed, moves no victim: the in-call refresh scores
-    under the same pre-step model."""
-    cfg = tiny_cfg()
+    """In a task that does not alternate, a refresh added at the top of
+    every inserting step moves no victim: the in-call refresh scores under
+    the same pre-step model."""
+    cfg = tiny_cfg(method="er_ace_abs")
     live = {}
 
     class Recording(MemoryBuffer):
@@ -349,12 +353,12 @@ def test_refresh_at_every_inserting_step_draws_the_same_victims(monkeypatch):
     monkeypatch.setattr(engine, "MemoryBuffer", Recording)
     monkeypatch.setattr(engine, "MLP", Tracked)
     plain = run()
-    real_batches, modes = TaskStream.batches, alternation_schedule(cfg.epochs_per_task)
+    real_batches = TaskStream.batches
     added = []
 
     def batches(self, t, e):
         for batch in real_batches(self, t, e):
-            if modes[e] == "forgetting" and len(live["buffer"]):
+            if len(live["buffer"]):
                 live["buffer"].refresh_losses(live["model"])
                 added.append(t)
             yield batch
@@ -362,3 +366,85 @@ def test_refresh_at_every_inserting_step_draws_the_same_victims(monkeypatch):
     monkeypatch.setattr(TaskStream, "batches", batches)
     assert run() == plain
     assert added and plain[0]
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass", "er", "er_ace", "gdumb"])
+def test_forgetting_epochs_rescore_once_at_their_start(method, monkeypatch):
+    """Alternating LASS/ABS methods rescore the buffer once, at the top of
+    each forgetting epoch that starts with a non-empty buffer (every one but
+    the run's first), and nowhere else; the other policies never rescore."""
+    events = []
+    real_refresh, real_batches = MemoryBuffer.refresh_losses, TaskStream.batches
+
+    def refresh(self, model):
+        events.append("refresh")
+        return real_refresh(self, model)
+
+    def batches(self, t, e):
+        events.append((t, e))
+        return real_batches(self, t, e)
+
+    monkeypatch.setattr(MemoryBuffer, "refresh_losses", refresh)
+    monkeypatch.setattr(TaskStream, "batches", batches)
+    cfg = tiny_cfg(method=method)
+    run_single(cfg, 0)
+    spec = PRESETS[method]
+    modes = alternation_schedule(cfg.epochs_per_task)
+    forgetting = [(t, e) for t in range(cfg.tasks) for e, mode in enumerate(modes)
+                  if mode == "forgetting"]
+    refreshed = [events[i + 1] for i, ev in enumerate(events) if ev == "refresh"]
+    assert refreshed == (forgetting[1:] if spec.policy in ("lass", "abs") else [])
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass"])
+def test_forgetting_epoch_draws_equal_draws_on_the_checkpoint_scores(method,
+                                                                     monkeypatch):
+    """Every victim draw of a forgetting epoch equals a draw on shadow
+    scores: the losses of the entries held at the epoch start under the
+    epoch-start model, which the epoch's checkpoint restores, and the
+    candidate loss of each row written since, although the model takes SGD
+    steps between the epoch start and the draw."""
+    live = {"draws": 0, "after_write": 0}
+
+    class Tracked(MLP):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live["model"] = self
+
+    class Shadowed(MemoryBuffer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live["buffer"], self.shadow = self, np.zeros(self.capacity)
+            self.written = False
+
+        def _write(self, i, *entry):
+            self.shadow[i] = entry[-1]
+            self.written = True
+            super()._write(i, *entry)
+
+    real_batches, real_draw = TaskStream.batches, buffer_mod._draw_slot
+
+    def batches(self, t, e):
+        buf = live["buffer"]
+        n = buf.size
+        if n:
+            logits = live["model"].forward(buf.features[:n])
+            buf.shadow[:n] = per_sample_ce(logits, buf.labels[:n])
+        buf.written = False
+        return real_batches(self, t, e)
+
+    def draw(buf, selector, rng, parts, p_current):
+        twin = SimpleNamespace(losses=buf.shadow)
+        expected = real_draw(twin, selector, copy.deepcopy(rng), parts, p_current)
+        got = real_draw(buf, selector, rng, parts, p_current)
+        assert got == expected
+        live["draws"] += 1
+        live["after_write"] += buf.written
+        return got
+
+    monkeypatch.setattr(engine, "MLP", Tracked)
+    monkeypatch.setattr(engine, "MemoryBuffer", Shadowed)
+    monkeypatch.setattr(TaskStream, "batches", batches)
+    monkeypatch.setattr(buffer_mod, "_draw_slot", draw)
+    run_single(tiny_cfg(method=method), 0)
+    assert live["draws"] and live["after_write"], live

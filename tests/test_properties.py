@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aer.buffer import MemoryBuffer, insertion_candidates, lass_scores, reservoir_update
+from aer.buffer import (MemoryBuffer, _available_slots, _score_probabilities,
+                        insertion_candidates, reservoir_update)
 from aer.consolidation import sharpen
 from aer.metrics import AccuracyMatrix, faa, final_forgetting
 from aer.mlp import MLP, ce_gradient, per_sample_ce, restore_checkpoint, save_checkpoint
@@ -32,7 +33,8 @@ def test_lass_scores_are_a_distribution(losses):
     buf = MemoryBuffer(len(losses), 1)
     for i, value in enumerate(losses):
         buf.add(np.array([0.0]), 0, 0, 0, value)
-    probs = lass_scores(buf)
+    (slots,), _ = _available_slots(buf, "lass", 0)
+    probs = _score_probabilities(buf.losses[slots])
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-12
 
