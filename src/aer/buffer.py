@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -40,7 +41,11 @@ class MemoryBuffer:
     refresh them in each step that draws a victim (``replace_with_candidates``)
     or, in a forgetting epoch, once at its start (``engine.train_task``).
     True labels are carried for purity audits only. ``n_seen`` counts every
-    candidate row offered to reservoir and LASS/ABS insertion.
+    candidate row offered to reservoir and LASS/ABS insertion. ``counts``
+    tallies, since the engine last cleared it, every row written
+    (``written``, ``written_clean``) and every entry replaced, as
+    ``evicted_current`` when its task is the incoming row's and
+    ``evicted_past`` otherwise, each with a ``_noisy`` twin.
     """
 
     def __init__(self, capacity, dim):
@@ -57,6 +62,7 @@ class MemoryBuffer:
         self.size = 0
         self.n_seen = 0
         self._tick = 0
+        self.counts = Counter()
 
     def __len__(self):
         return self.size
@@ -69,6 +75,8 @@ class MemoryBuffer:
         self.losses[i] = loss
         self.ticks[i] = self._tick
         self._tick += 1
+        self.counts["written"] += 1
+        self.counts["written_clean"] += int(label == true_label)
 
     def add(self, features, label, true_label, task_id, loss):
         if self.size >= self.capacity:
@@ -79,6 +87,9 @@ class MemoryBuffer:
     def overwrite(self, i, features, label, true_label, task_id, loss):
         if not 0 <= i < self.size:
             raise InputError(f"slot {i} out of range (size {self.size})")
+        kind = "evicted_current" if self.task_ids[i] == task_id else "evicted_past"
+        self.counts[kind] += 1
+        self.counts[kind + "_noisy"] += int(self.labels[i] != self.true_labels[i])
         self._write(i, features, label, true_label, task_id, loss)
 
     def task_counts(self):

@@ -9,6 +9,7 @@ learning-epoch updates persist.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -20,7 +21,8 @@ from .buffer import (MemoryBuffer, gdumb_update, insertion_candidates,
 from .config import PRESETS, config_hash, parse_superclasses
 from .consolidation import buffer_fit, consolidate
 from .errors import ConfigError, InputError, NumericalError, ParseError
-from .metrics import AccuracyMatrix, faa, final_forgetting, separation_trace
+from .metrics import (AUDIT_COLUMNS, AccuracyMatrix, faa, final_forgetting,
+                      separation_trace)
 from .mlp import MLP, ce_gradient, per_sample_ce, restore_checkpoint, save_checkpoint
 from .stream import (Batch, NoiseSpec, default_superclass_pairs, inject_noise,
                      load_csv, make_synthetic, split_tasks, split_train_test,
@@ -163,6 +165,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     outlives the step: in a forgetting epoch that is the checkpoint, so the
     buffer is rescored once at the epoch start and the call gets no model;
     otherwise the call rescores under the live model, which scored the batch.
+    Each epoch's trace carries its ``AUDIT_COLUMNS``: the rows handed to the
+    policy (``offered``, ``offered_clean``) and the buffer's ``counts``,
+    cleared at the epoch start.
     """
     task_classes = stream.task_classes(t)
     seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
@@ -181,6 +186,8 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 buffer.refresh_losses(model)
         elif frozen:
             pre_hash = buffer.content_hash()
+        counts = buffer.counts if buffer is not None else Counter()
+        counts.clear()
         loss_sum, loss_count = 0.0, 0
         for batch in stream.batches(t, e):
             if spec.policy == "gdumb":
@@ -206,6 +213,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 else:
                     rows = np.arange(len(batch))
                 if len(rows):
+                    counts["offered"] += len(rows)
+                    counts["offered_clean"] += int(
+                        (batch.labels[rows] == batch.true_labels[rows]).sum())
                     cand = (buffer, batch.features[rows], batch.labels[rows],
                             batch.true_labels[rows], np.full(len(rows), t), losses[rows])
                     if spec.policy == "gdumb":
@@ -220,7 +230,7 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
         trace = {"task": t, "epoch": e, "mode": mode,
                  "stream_loss": loss_sum / loss_count if loss_count else None,
                  "buffer_clean_loss": None, "buffer_noisy_loss": None,
-                 "buffer_purity": None}
+                 "buffer_purity": None, **{c: counts[c] for c in AUDIT_COLUMNS}}
         if spec.policy is not None and len(buffer):
             clean_mean, noisy_mean = separation_trace(buffer, model)
             trace["buffer_clean_loss"] = clean_mean

@@ -135,8 +135,11 @@ def write_summary_csv(rows, path):
             writer.writerow([_fmt(row.get(col)) for col in SUMMARY_COLUMNS])
 
 
-TRACE_COLUMNS = ["task", "epoch", "mode", "stream_loss",
-                 "buffer_clean_loss", "buffer_noisy_loss", "buffer_purity"]
+AUDIT_COLUMNS = ["offered", "offered_clean", "written", "written_clean",
+                 "evicted_current", "evicted_current_noisy",
+                 "evicted_past", "evicted_past_noisy"]
+TRACE_COLUMNS = ["task", "epoch", "mode", "stream_loss", "buffer_clean_loss",
+                 "buffer_noisy_loss", "buffer_purity", *AUDIT_COLUMNS]
 
 
 def write_trace_csv(traces, path):

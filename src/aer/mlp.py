@@ -102,10 +102,7 @@ class MLP:
 
     def penultimate(self, features):
         """Activations feeding the output layer (the input itself for a linear net)."""
-        a = np.asarray(features, dtype=np.float64)
-        for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = np.maximum(a @ w + b, 0.0)
-        return a
+        return self.forward(features, cache=True)[1][-1]
 
     def predict(self, features):
         return np.argmax(self.forward(features), axis=1)

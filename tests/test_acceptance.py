@@ -194,12 +194,15 @@ def test_08_purity_reproduction(bench):
     LASS is not compared on purity: ABS is built to lose that comparison.
     On the current task both evict in proportion to loss, but on past tasks
     ABS prefers to evict low-loss entries, and noisy entries carry the higher
-    loss (test_07), so its past rule evicts clean entries first. Measured
-    with ``tools/eviction_audit.py`` (seeds 0-4, 40 % noise), past-task
-    draws evict noisy entries at 0.155 against a partition noisy share of
-    0.185 for ABS, and at 0.275 against 0.116 for LASS; task-end past-task
-    purity is 0.818 for ABS and 0.922 for LASS, current-task purity 0.846
-    and 0.880. What ABS promises over LASS, keeping harder past samples, is
+    loss (test_07), so its past rule evicts clean entries first. Summed
+    from the ``evicted_*`` trace columns of ``aer run`` (seeds 0-4, 40 %
+    noise, outputs as of 817e8b7), past-task evictions are 0.158 noisy for
+    ABS (3,180 of them) and 0.262 for LASS (2,471), current-task evictions
+    0.194 for both. The buffer dumps give a task-end past-task purity of
+    0.806 for ABS and 0.943 for LASS (median over seeds of the mean over
+    task ends), so ABS evicts past noisy entries below their 0.194 share and
+    LASS well above their 0.057; current-task purity is 0.864 and 0.868.
+    What ABS promises over LASS, keeping harder past samples, is
     checked by
     ``tests/test_buffer.py::test_abs_buffer_more_diverse_than_lass_on_benchmark``.
     """

@@ -298,6 +298,45 @@ def test_trace_records_have_accuracy_rows_at_task_end():
     assert len(rows[-1]["accuracy_row"]) == cfg.tasks
 
 
+def audited_run(cfg):
+    """``run_single`` at seed 0; returns its record and its final buffer."""
+    ends = []
+    rec = run_single(cfg, 0, on_task_end=lambda t, model, buf: ends.append(buf))
+    return rec, ends[-1]
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass"])
+def test_frozen_learning_epochs_count_nothing(method):
+    """The twin of the hash check: a learning epoch of an alternating task
+    offers, writes and evicts nothing, and its forgetting epochs do."""
+    rec, _ = audited_run(tiny_cfg(method=method))
+    learning = [t for t in rec.traces if t["mode"] == "learning"]
+    assert learning and all(t[c] == 0 for t in learning for c in engine.AUDIT_COLUMNS)
+    forgetting = [t for t in rec.traces if t["mode"] == "forgetting"]
+    assert all(t["offered"] > 0 and t["written"] > 0 for t in forgetting)
+    assert sum(t["evicted_past"] for t in forgetting) > 0
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass", "er_ace_abs", "er", "gdumb"])
+def test_trace_counts_add_up_to_the_final_buffer(method):
+    rec, buf = audited_run(tiny_cfg(method=method))
+    total = {c: sum(t[c] for t in rec.traces) for c in engine.AUDIT_COLUMNS}
+    assert total["written"] - total["evicted_current"] - total["evicted_past"] == buf.size
+    assert total["written"] == buf._tick
+    assert total["evicted_current"] + total["evicted_past"] > 0
+    assert 0 < total["written_clean"] < total["written"] <= total["offered"]
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "er", "gdumb"])
+def test_noise_free_run_counts_no_noisy_rows(method):
+    rec, _ = audited_run(tiny_cfg(method=method, noise_rate=0.0))
+    for t in rec.traces:
+        assert t["evicted_current_noisy"] == t["evicted_past_noisy"] == 0
+        assert t["written_clean"] == t["written"]
+        assert t["offered_clean"] == t["offered"]
+    assert sum(t["written"] for t in rec.traces) > 0
+
+
 @pytest.mark.parametrize("method", ["aer_abs", "aer_lass", "er_ace_abs"])
 def test_every_refresh_is_followed_by_a_victim_draw(method, monkeypatch):
     """LASS/ABS rescore the buffer only where a victim draw reads the scores

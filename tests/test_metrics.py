@@ -159,5 +159,7 @@ def test_trace_csv_columns(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(traces, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "task,epoch,mode,stream_loss,buffer_clean_loss,buffer_noisy_loss,buffer_purity"
+    assert lines[0] == ("task,epoch,mode,stream_loss,buffer_clean_loss,buffer_noisy_loss,"
+                        "buffer_purity,offered,offered_clean,written,written_clean,"
+                        "evicted_current,evicted_current_noisy,evicted_past,evicted_past_noisy")
     assert lines[1].startswith("0,1,forgetting,0.3")
