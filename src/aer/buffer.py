@@ -93,8 +93,9 @@ class MemoryBuffer:
         self._write(i, features, label, true_label, task_id, loss)
 
     def task_counts(self):
-        ids, counts = np.unique(self.task_ids[:self.size], return_counts=True)
-        return dict(zip(ids.tolist(), counts.tolist()))
+        counts = np.bincount(self.task_ids[:self.size])
+        ids = np.flatnonzero(counts)
+        return dict(zip(ids.tolist(), counts[ids].tolist()))
 
     def refresh_losses(self, model, n=None):
         """Recompute the cached losses of the first n (default all) entries."""
@@ -266,12 +267,11 @@ def gdumb_update(buffer, features, labels, true_labels, task_ids, losses, rng):
     n = _append(buffer, features, labels, true_labels, task_ids, losses)
     for i in range(n, len(features)):
         stored = buffer.labels[:buffer.size]
-        classes, counts = np.unique(stored, return_counts=True)
-        own = counts[classes == labels[i]]
+        counts = np.bincount(stored, minlength=labels[i] + 1)
         max_count = counts.max()
-        if own.size and own[0] >= max_count:
+        if counts[labels[i]] >= max_count:
             continue
-        biggest = classes[counts == max_count]
+        biggest = np.flatnonzero(counts == max_count)
         victim_class = biggest[int(rng.integers(len(biggest)))]
         slots = np.flatnonzero(stored == victim_class)
         slot = int(slots[int(rng.integers(len(slots)))])
@@ -290,7 +290,7 @@ def purity(buffer):
     stored = buffer.labels[:buffer.size]
     true = buffer.true_labels[:buffer.size]
     per_class = {}
-    for c in np.unique(stored):
+    for c in np.flatnonzero(np.bincount(stored)):
         mask = stored == c
         per_class[int(c)] = float((true[mask] == c).mean())
     return float((stored == true).mean()), per_class
@@ -309,7 +309,7 @@ def diversity(buffer, reference_model):
     feats = reference_model.penultimate(buffer.features[:buffer.size])
     per_class = {}
     overall = 0.0
-    for c in np.unique(stored):
+    for c in np.flatnonzero(np.bincount(stored)):
         mask = stored == c
         if mask.sum() < 2:
             warnings.warn(f"class {int(c)} has < 2 buffer entries; diversity 0")

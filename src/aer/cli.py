@@ -15,23 +15,22 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .config import PRESETS, MethodSpec, config_hash, load_config, parse_option
-from .engine import resolve_method, run_single, train_reference
+from .config import PRESETS, config_hash, load_config, parse_option
+from .engine import run_single, train_reference
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .metrics import aggregate_seeds, write_summary_csv, write_trace_csv, write_trace_jsonl
 
 OUT_ROOT_ENV = "AER_OUT_ROOT"
 
+# (summary label, preset) per rung of the component ablation
 ABLATION_VARIANTS = [
-    ("er", PRESETS["er"]),
-    ("er_ace", PRESETS["er_ace"]),
-    ("er_ace_alpha", MethodSpec("er_ace_alpha", ace=True, alpha_gate=True)),
-    ("er_ace_alpha_aer", MethodSpec("er_ace_alpha_aer", ace=True,
-                                    alpha_gate=True, alternate=True)),
-    ("er_ace_abs", PRESETS["er_ace_abs"]),
-    ("full_aer_abs", PRESETS["aer_abs"]),
-    ("full_minus_ace", MethodSpec("full_minus_ace", policy="abs", alpha_gate=True,
-                                  alternate=True)),
+    ("er", "er"),
+    ("er_ace", "er_ace"),
+    ("er_ace_alpha", "er_ace_alpha"),
+    ("er_ace_alpha_aer", "er_ace_alpha_aer"),
+    ("er_ace_abs", "er_ace_abs"),
+    ("full_aer_abs", "aer_abs"),
+    ("full_minus_ace", "full_minus_ace"),
 ]
 
 
@@ -74,7 +73,8 @@ def _resolve_out_dir(arg_out, cfg, command):
 
 
 def _run_variants(cfg, variants, out_dir):
-    """Execute (label, cfg, spec) variants, write all artifacts, return rows."""
+    """Execute (label, cfg) variants, each running the method its
+    ``cfg.method`` names; write all artifacts and return the summary rows."""
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         reference = train_reference(cfg)
@@ -85,7 +85,7 @@ def _run_variants(cfg, variants, out_dir):
         reference = None
     rows = []
     outputs = []
-    for label, vcfg, spec in variants:
+    for label, vcfg in variants:
         vdir = out_dir if len(variants) == 1 else out_dir / label
         vdir.mkdir(parents=True, exist_ok=True)
 
@@ -99,7 +99,7 @@ def _run_variants(cfg, variants, out_dir):
 
         records = []
         for seed in vcfg.seeds:
-            rec = run_single(vcfg, seed, spec=spec, reference_model=reference,
+            rec = run_single(vcfg, seed, reference_model=reference,
                              on_task_end=hook_factory(seed), dump_dir=vdir)
             records.append(rec)
             tpath = vdir / f"trace_seed{seed}.csv"
@@ -118,7 +118,7 @@ def _run_variants(cfg, variants, out_dir):
         agg = aggregate_seeds(records)
         rows.append({
             "label": label,
-            "method": spec.label,
+            "method": records[0].method_label,
             "noise_kind": vcfg.noise_kind,
             "noise_rate": vcfg.noise_rate,
             "alpha": vcfg.alpha,
@@ -137,7 +137,7 @@ def _run_variants(cfg, variants, out_dir):
         "tool_version": __version__,
         "config": cfg.as_dict(),
         "config_hash": config_hash(cfg),
-        "variants": [label for label, _, _ in variants],
+        "variants": [label for label, _ in variants],
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": sorted(str(p.relative_to(out_dir)) for p in outputs),
     }
@@ -158,13 +158,13 @@ def _print_rows(rows):
 
 
 def _variants(args, cfg):
-    """The (label, cfg, spec) list the command runs."""
+    """The (label, cfg) list the command runs."""
     if args.command == "ablate":
-        return [(label, cfg, spec) for label, spec in ABLATION_VARIANTS]
-    spec = resolve_method(cfg.method)
+        return [(label, dataclasses.replace(cfg, method=method))
+                for label, method in ABLATION_VARIANTS]
     if args.command == "run":
-        return [(cfg.method, cfg, spec)]
-    if not spec.alpha_gate:
+        return [(cfg.method, cfg)]
+    if not PRESETS[cfg.method].alpha_gate:
         raise ConfigError(f"--alphas: {cfg.method} has no alpha gate to sweep")
     cfgs = [_apply_flag(cfg, "--alphas", "run.alpha", a)
             for a in args.alphas.split(",") if a.strip()]
@@ -174,7 +174,7 @@ def _variants(args, cfg):
     values = [f"{c.alpha:g}" for c in cfgs]
     if len(set(values)) != len(values):
         raise ConfigError(f"--alphas: must be distinct, got [{', '.join(values)}]")
-    return [(f"alpha={v}", c, spec) for v, c in zip(values, cfgs)]
+    return [(f"alpha={v}", c) for v, c in zip(values, cfgs)]
 
 
 def run_command(args):

@@ -55,18 +55,20 @@ class MethodSpec:
         return self.policy not in (None, "gdumb")
 
 
-PRESETS = {
-    "finetune": MethodSpec("finetune", policy=None),
-    "joint": MethodSpec("joint", policy=None, joint=True),
-    "er": MethodSpec("er"),
-    "er_ace": MethodSpec("er_ace", ace=True),
-    "gdumb": MethodSpec("gdumb", policy="gdumb"),
-    "aer_abs": MethodSpec("aer_abs", policy="abs", ace=True, alpha_gate=True,
-                          alternate=True),
-    "aer_lass": MethodSpec("aer_lass", policy="lass", ace=True, alpha_gate=True,
-                           alternate=True),
-    "er_ace_abs": MethodSpec("er_ace_abs", policy="abs", ace=True, alpha_gate=True),
-}
+PRESETS = {spec.label: spec for spec in (
+    MethodSpec("finetune", policy=None),
+    MethodSpec("joint", policy=None, joint=True),
+    MethodSpec("er"),
+    MethodSpec("er_ace", ace=True),
+    MethodSpec("gdumb", policy="gdumb"),
+    MethodSpec("aer_abs", policy="abs", ace=True, alpha_gate=True, alternate=True),
+    MethodSpec("aer_lass", policy="lass", ace=True, alpha_gate=True, alternate=True),
+    MethodSpec("er_ace_abs", policy="abs", ace=True, alpha_gate=True),
+    # ablation rungs: AER's parts one at a time (``aer ablate``)
+    MethodSpec("er_ace_alpha", ace=True, alpha_gate=True),
+    MethodSpec("er_ace_alpha_aer", ace=True, alpha_gate=True, alternate=True),
+    MethodSpec("full_minus_ace", policy="abs", alpha_gate=True, alternate=True),
+)}
 
 
 def _option(ini, default, rule=None):

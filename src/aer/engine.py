@@ -265,16 +265,13 @@ def _dump_state(model, buffer, out_dir, seed, context):
     return dump
 
 
-def run_single(cfg, seed, spec=None, reference_model=None, on_task_end=None,
-               dump_dir=None):
-    """Execute one seeded run of the configured method; returns a RunRecord."""
-    spec = spec or resolve_method(cfg.method)
-    if cfg.consolidation != "none" and not spec.consolidates:
-        raise ConfigError(
-            f"run.consolidation: {spec.label} has no rehearsal buffer to consolidate")
+def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None):
+    """Execute one seeded run of the method ``cfg.method`` names, after
+    validating ``cfg``; returns a RunRecord."""
+    spec = resolve_method(cfg.validate().method)
     data = prepare_data(cfg, seed)
     record = RunRecord(method_label=spec.label, seed=seed,
-                       config_key=f"{config_hash(cfg, include_seeds=False)}:{spec.label}",
+                       config_key=config_hash(cfg, include_seeds=False),
                        noise_report=data.noise_report)
     model = MLP(data.train.dim, data.train.num_classes, cfg.hidden, cfg.lr,
                 cfg.momentum, seed=[seed, 20])

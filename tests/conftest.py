@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from aer.config import MethodSpec, RunConfig
+from aer.config import RunConfig
 from aer.engine import run_single, train_reference
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
-
-# Non-preset ablation variant shared by engine tests and the acceptance suite.
-ER_ACE_ALPHA = MethodSpec("er_ace_alpha", ace=True, alpha_gate=True)
 
 
 class Bench:
@@ -22,14 +19,14 @@ class Bench:
             self._reference = train_reference(RunConfig().validate())
         return self._reference
 
-    def suite(self, label, method="aer_abs", spec=None, noise_rate=0.4,
+    def suite(self, label, method="aer_abs", noise_rate=0.4,
               alpha=75.0, consolidation="none", seeds=BENCH_SEEDS, tasks=5):
         if label not in self._suites:
             cfg = RunConfig(method=method, noise_rate=noise_rate, alpha=alpha,
                             consolidation=consolidation, seeds=seeds,
                             tasks=tasks).validate()
             self._suites[label] = [
-                run_single(cfg, s, spec=spec, reference_model=self.reference())
+                run_single(cfg, s, reference_model=self.reference())
                 for s in seeds
             ]
         return self._suites[label]

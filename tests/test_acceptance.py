@@ -20,7 +20,7 @@ from aer.consolidation import fit_gmm_em
 from aer.engine import prepare_data
 from aer.metrics import AccuracyMatrix, faa, final_forgetting
 from aer.mlp import MLP, ce_gradient, per_sample_ce
-from conftest import ER_ACE_ALPHA, median_faa, median_purity
+from conftest import median_faa, median_purity
 
 FORGETTING_EPOCHS = (1, 3, 5, 7, 9)
 
@@ -259,7 +259,7 @@ def test_09_ablation_direction(bench):
                            tasks=ABLATION_TASKS, **kw)
 
     er = suite("er_60_t2", method="er")
-    gated = suite("er_ace_alpha_60_t2", spec=ER_ACE_ALPHA)
+    gated = suite("er_ace_alpha_60_t2", method="er_ace_alpha")
     full = suite("aer_abs_60_t2")
     consolidated = suite("aer_abs_60_t2_mixmatch", consolidation="mixmatch")
     assert median_faa(er) <= median_faa(gated) <= median_faa(full), (

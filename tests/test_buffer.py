@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -481,6 +483,41 @@ def test_batch_insertion_matches_per_candidate_reference(policy):
             seen["capacity_1"] += capacity == 1 and n > 1
             seen["slot_twice"] += len(set(new_slots)) < len(new_slots)
     assert all(seen.values()), seen
+
+
+def test_class_enumeration_matches_np_unique_with_missing_classes():
+    """purity, diversity, ``task_counts`` and ``gdumb_update`` enumerate the
+    classes present by ``bincount``; on random labels drawn from a few of 12
+    classes they agree with an ``np.unique`` enumeration (for GDumb, the
+    per-candidate reference above)."""
+    rng = np.random.default_rng(19)
+    model = MLP(3, 12, hidden=(5,), lr=0.1, seed=0)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        classes = rng.choice(12, size=int(rng.integers(1, 5)), replace=False)
+        labels, true = rng.choice(classes, n), rng.choice(classes, n)
+        tasks = rng.choice([0, 2, 5], n)
+        buf = MemoryBuffer(n, 3)
+        for row in zip(rng.random((n, 3)), labels, true, tasks):
+            buf.add(*row, 0.0)
+        present = np.unique(labels)
+        assert purity(buf)[1] == {int(c): float((true[labels == c] == c).mean())
+                                  for c in present}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert list(diversity(buf, model)[1]) == present.tolist()
+        ids, counts = np.unique(tasks, return_counts=True)
+        assert buf.task_counts() == dict(zip(ids.tolist(), counts.tolist()))
+
+        fast, ref = RecordingBuffer(n, 3), RecordingBuffer(n, 3)
+        m = int(rng.integers(0, 3 * n))
+        rows = (rng.random((m, 3)), rng.choice(classes, m), rng.choice(classes, m),
+                np.zeros(m, dtype=np.intp), np.zeros(m))
+        gdumb_update(fast, *rows, np.random.default_rng(trial))
+        rng_ref = np.random.default_rng(trial)
+        for row in zip(*rows):
+            reference_gdumb_update(ref, *row[:4], rng_ref)
+        assert buffer_state(fast) == buffer_state(ref)
 
 
 def test_gdumb_keeps_class_counts_within_one():

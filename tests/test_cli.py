@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aer.cli import main
+import aer
+from aer.cli import ABLATION_VARIANTS, main
+from aer.config import PRESETS
 
 TINY = """
 [run]
@@ -151,6 +156,74 @@ def test_ablate_emits_expected_rows(tiny_config, tmp_path):
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["er", "er_ace", "er_ace_alpha", "er_ace_alpha_aer",
                       "er_ace_abs", "full_aer_abs", "full_minus_ace"]
+
+
+@pytest.fixture(scope="module")
+def ablated(tmp_path_factory):
+    """The output directory of ``aer ablate`` on the tiny config."""
+    root = tmp_path_factory.mktemp("ablate")
+    (root / "tiny.ini").write_text(TINY)
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore")
+        assert main(["ablate", "--config", str(root / "tiny.ini"),
+                     "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("label, method", ABLATION_VARIANTS)
+def test_run_writes_what_ablate_writes_for_each_rung(ablated, tmp_path, label, method):
+    """``aer run`` with ``run.method`` set to a rung's preset writes the
+    summary columns, trace files and buffer dumps of that rung under
+    ``aer ablate``; only the label differs, for full_aer_abs."""
+    config = tmp_path / "tiny.ini"
+    config.write_text(TINY.replace("method = aer_abs", f"method = {method}"))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    run_row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    ablate_rows = (ablated / "summary.csv").read_text().splitlines()[1:]
+    ablate_row = next(row.split(",") for row in ablate_rows if row.startswith(f"{label},"))
+    assert run_row[:2] == [method, method]
+    assert run_row[1:] == ablate_row[1:]
+    files = {p.name: p.read_bytes() for p in out.iterdir()
+             if p.name not in ("summary.csv", "manifest.json")}
+    assert files == {p.name: p.read_bytes() for p in (ablated / label).iterdir()}
+    assert sum(name.startswith(("trace_", "buffer_task")) for name in files) == 4
+
+
+@pytest.mark.parametrize("method", [m for m, spec in PRESETS.items() if spec.alpha_gate])
+def test_sweep_alpha_accepts_every_gated_preset(tiny_config, tmp_path, method):
+    tiny_config.write_text(TINY.replace("method = aer_abs", f"method = {method}"))
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["sweep-alpha", "--config", str(tiny_config),
+                     "--alphas", "0,90", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["alpha=0", method], ["alpha=90", method]]
+
+
+def test_a_run_leaves_numpy_ma_unimported(tmp_path):
+    """A run's class enumerations avoid ``np.unique``, which imports
+    ``numpy.ma``; the two runs train the reference model, fit GDumb's
+    buffer and consolidate with MixMatch."""
+    for method, consolidation in (("aer_abs", "mixmatch"), ("gdumb", "none")):
+        (tmp_path / f"{method}.ini").write_text(
+            TINY.replace("method = aer_abs", f"method = {method}\n"
+                         f"consolidation = {consolidation}\ngdumb_fit_epochs = 2")
+            + "\n[consolidation]\nepochs = 2\n")
+    script = ("import sys, warnings; from aer.cli import main; "
+              "warnings.simplefilter('ignore'); "
+              "codes = [main(['run', '--config', f'{m}.ini', '--out', m]) "
+              "for m in ('aer_abs', 'gdumb')]; "
+              "print(codes, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(aer.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    assert (tmp_path / "aer_abs" / "consolidation_seed0.json").exists()
 
 
 def test_seeds_override(tiny_config, tmp_path):

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +290,19 @@ def test_numerical_abort_writes_state_dump(tmp_path):
 def test_consolidation_requires_buffer_method():
     with pytest.raises(ConfigError):
         tiny_cfg(method="finetune", consolidation="mixmatch")
+
+
+@pytest.mark.parametrize("field, ini, value", [
+    ("lr", "run.lr", float("nan")),
+    ("alpha", "run.alpha", 150.0),
+    ("consolidation", "run.consolidation", "mixmatch"),
+])
+def test_run_single_validates_its_config(field, ini, value):
+    """A library config that skipped ``validate`` fails before training,
+    with a ``ConfigError`` that names the field."""
+    cfg = dataclasses.replace(tiny_cfg(method="finetune"), **{field: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(ini)}: "):
+        run_single(cfg, 0)
 
 
 def test_trace_records_have_accuracy_rows_at_task_end():
