@@ -19,7 +19,6 @@ from .metrics import (AccuracyMatrix, aggregate_seeds, faa, final_forgetting,
                       separation_trace)
 from .mlp import (MLP, augment, ce_gradient, per_sample_ce, restore_checkpoint,
                   save_checkpoint)
-from .stream import (Batch, Dataset, NoiseSpec, TaskStream,
-                     default_superclass_pairs, inject_noise, load_csv,
-                     make_synthetic, save_csv, split_tasks, split_train_test,
-                     standardize)
+from .stream import (Batch, Dataset, TaskStream, default_superclass_pairs,
+                     inject_noise, load_csv, make_synthetic, save_csv,
+                     split_tasks, split_train_test, standardize)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical abort,
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -64,10 +65,17 @@ def _apply_flag(cfg, flag, ini, text):
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def _resolve_out_dir(arg_out, cfg, command):
+def _resolve_out_dir(arg_out, command, variants):
+    """``--out``, or ``<root>/<command>[-<method>]-<key>`` keyed by what the
+    variants run: ``method`` when they all run one, and ``key`` the first 12
+    hex digits of the single variant's ``config_hash``, or of the sha256 of
+    all the variants' hashes."""
     if arg_out:
         return Path(arg_out)
-    name = f"{command}-{cfg.method}-{config_hash(cfg)[:12]}"
+    hashes = [config_hash(vcfg) for _, vcfg in variants]
+    key = hashes[0] if len(hashes) == 1 else hashlib.sha256("".join(hashes).encode()).hexdigest()
+    methods = {vcfg.method for _, vcfg in variants}
+    name = "-".join([command, *(methods if len(methods) == 1 else ()), key[:12]])
     root = os.environ.get(OUT_ROOT_ENV)
     return (Path(root) if root else Path("runs")) / name
 
@@ -184,7 +192,7 @@ def run_command(args):
     if args.seeds is not None:
         cfg = _apply_flag(cfg, "--seeds", "run.seeds", args.seeds)
     variants = _variants(args, cfg)
-    out_dir = _resolve_out_dir(args.out, cfg, args.command)
+    out_dir = _resolve_out_dir(args.out, args.command, variants)
     rows = _run_variants(cfg, variants, out_dir)
     _print_rows(rows)
     print(f"artifacts written to {out_dir}")

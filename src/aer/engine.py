@@ -24,9 +24,8 @@ from .errors import ConfigError, InputError, NumericalError, ParseError
 from .metrics import (AUDIT_COLUMNS, AccuracyMatrix, faa, final_forgetting,
                       separation_trace)
 from .mlp import MLP, ce_gradient, per_sample_ce, restore_checkpoint, save_checkpoint
-from .stream import (Batch, NoiseSpec, default_superclass_pairs, inject_noise,
-                     load_csv, make_synthetic, split_tasks, split_train_test,
-                     standardize)
+from .stream import (Batch, inject_noise, load_csv, make_synthetic, split_tasks,
+                     split_train_test, standardize)
 
 
 def resolve_method(name):
@@ -126,17 +125,11 @@ def prepare_data(cfg, run_seed):
     stream = split_tasks(train, cfg.tasks, run_seed, cfg.batch_size)
     noise_report = None
     if cfg.noise_rate > 0:
-        if cfg.noise_kind == "asymmetric":
-            if cfg.superclass_spec:
-                superclasses = parse_superclasses(cfg.superclass_spec,
-                                                  train.num_classes)
-            else:
-                superclasses = default_superclass_pairs(train.num_classes)
-        else:
-            superclasses = None
-        spec = NoiseSpec(cfg.noise_kind, cfg.noise_rate, superclasses,
-                         cfg.noise_seed)
-        noise_report = inject_noise(train, spec, stream.class_groups)
+        superclasses = None
+        if cfg.noise_kind == "asymmetric" and cfg.superclass_spec:
+            superclasses = parse_superclasses(cfg.superclass_spec, train.num_classes)
+        noise_report = inject_noise(train, cfg.noise_kind, cfg.noise_rate,
+                                    cfg.noise_seed, stream.class_groups, superclasses)
     test_sets = []
     for g in stream.class_groups:
         mask = np.isin(test.labels_true, g)
@@ -167,7 +160,8 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     otherwise the call rescores under the live model, which scored the batch.
     Each epoch's trace carries its ``AUDIT_COLUMNS``: the rows handed to the
     policy (``offered``, ``offered_clean``) and the buffer's ``counts``,
-    cleared at the epoch start.
+    cleared at the epoch start. GDumb's stream model never trains, so its
+    trace leaves the stream and buffer loss columns empty.
     """
     task_classes = stream.task_classes(t)
     seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
@@ -232,9 +226,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                  "buffer_clean_loss": None, "buffer_noisy_loss": None,
                  "buffer_purity": None, **{c: counts[c] for c in AUDIT_COLUMNS}}
         if spec.policy is not None and len(buffer):
-            clean_mean, noisy_mean = separation_trace(buffer, model)
-            trace["buffer_clean_loss"] = clean_mean
-            trace["buffer_noisy_loss"] = noisy_mean
+            if spec.policy != "gdumb":
+                trace["buffer_clean_loss"], trace["buffer_noisy_loss"] = \
+                    separation_trace(buffer, model)
             trace["buffer_purity"] = buffer_mod.purity(buffer)[0]
         traces.append(trace)
         if forgetting:

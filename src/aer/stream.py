@@ -6,7 +6,8 @@ within each task's label set, and serves shuffled minibatches whose order
 depends only on (seed, task, epoch).
 """
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,40 +42,6 @@ class Dataset:
     def subset(self, index):
         return Dataset(self.features[index], self.labels_true[index],
                        self.labels_noisy[index], self.num_classes)
-
-
-@dataclass
-class NoiseSpec:
-    """Frozen label-noise description.
-
-    ``kind`` is ``symmetric`` (resample uniformly among the other classes of
-    the example's task) or ``asymmetric`` (flip to a fixed partner class
-    inside the same superclass). ``superclass_map`` maps class id to
-    superclass id and is required for asymmetric noise.
-
-    Symmetric flips stay inside the task, so with k classes per task each
-    label keeps a share 1 - rate of its own class and receives rate / (k - 1)
-    of every other class. At rate >= 1 - 1/k another class ties (at
-    equality, in expectation) or outnumbers class c among the examples
-    labelled c, so a wrong label is the majority. For the standard 2-class
-    tasks that is any rate >= 0.5.
-    """
-    kind: str
-    rate: float
-    superclass_map: dict = None
-    seed: int = 0
-
-    def validate(self, num_classes):
-        if self.kind not in ("symmetric", "asymmetric"):
-            raise InputError(f"noise kind must be symmetric|asymmetric, got {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise InputError(f"noise rate must be in [0, 1], got {self.rate}")
-        if self.kind == "asymmetric":
-            if not self.superclass_map:
-                raise InputError("asymmetric noise requires a superclass map")
-            missing = [c for c in range(num_classes) if c not in self.superclass_map]
-            if missing:
-                raise InputError(f"superclass map missing classes {missing}")
 
 
 def default_superclass_pairs(num_classes):
@@ -196,58 +163,83 @@ def split_tasks(dataset, num_tasks, seed, batch_size=32):
     return TaskStream(dataset, groups, batch_size, seed)
 
 
-def inject_noise(dataset, spec, class_groups=None):
+def inject_noise(dataset, kind, rate, seed, class_groups=None, superclasses=None):
     """Corrupt ``labels_noisy`` in place; true labels are preserved.
 
-    Flips never leave the example's class group (its task). Symmetric noise
-    at rate >= 1 - 1/k, for k classes per group, makes a wrong label the
-    majority of each class (see ``NoiseSpec``). Returns an audit report with
-    per-class corruption counts.
+    Flips stay inside the example's class group (its task). Each class's
+    options are, under ``symmetric`` noise, the other classes of its group
+    in group order and, under ``asymmetric`` noise, the next member of its
+    superclass within the group (``superclasses``: class id to superclass
+    id, consecutive pairs by default). A row flips with probability
+    ``rate`` to one of its class's options, drawn uniformly.
+
+    Returns an audit report. Its ``majority_flip`` holds when some class
+    sends another a share ``rate / len(options)`` of its examples of at
+    least the ``1 - rate`` that keep their label, so that (equal class
+    sizes, in expectation) a wrong class ties or outnumbers the true one
+    under some noisy label: ``rate >= 1 - 1/k`` for symmetric flips in
+    k-class groups, ``rate >= 0.5`` for asymmetric ones. Warns then, and
+    when asymmetric noise has the symmetric options and so draws exactly
+    the symmetric flips.
     """
-    spec.validate(dataset.num_classes)
+    if kind not in ("symmetric", "asymmetric"):
+        raise InputError(f"noise kind must be symmetric|asymmetric, got {kind!r}")
+    if not 0.0 <= rate <= 1.0:
+        raise InputError(f"noise rate must be in [0, 1], got {rate}")
+    n = dataset.num_classes
+    if kind == "asymmetric":
+        if superclasses is None:
+            superclasses = default_superclass_pairs(n)
+        missing = [c for c in range(n) if c not in superclasses]
+        if missing:
+            raise InputError(f"superclass map missing classes {missing}")
     if class_groups is None:
-        class_groups = [tuple(range(dataset.num_classes))]
-    group_of = {}
-    for g in class_groups:
-        for c in g:
-            group_of[int(c)] = tuple(g)
-    missing = [c for c in range(dataset.num_classes) if c not in group_of]
+        class_groups = [tuple(range(n))]
+    group_of = {int(c): tuple(g) for g in class_groups for c in g}
+    missing = [c for c in range(n) if c not in group_of]
     if missing:
         raise InputError(f"class groups do not cover classes {missing}")
-    y = dataset.labels_true
-    rng = np.random.default_rng(spec.seed)
-    flips = rng.random(len(dataset)) < spec.rate
-    noisy = y.copy()
-    if spec.kind == "symmetric":
-        if spec.rate > 0:
-            singleton = {c for c in group_of if len(group_of[c]) < 2}
-            if singleton:
-                raise ConfigError(
-                    "noise.kind: symmetric noise impossible: classes "
-                    f"{sorted(singleton)} have no alternative class in their task")
-        for i in np.flatnonzero(flips):
-            others = [c for c in group_of[y[i]] if c != y[i]]
-            noisy[i] = others[rng.integers(len(others))]
-    else:
-        partner = {}
-        for c in range(dataset.num_classes):
-            members = sorted(k for k in group_of[c]
-                             if spec.superclass_map[k] == spec.superclass_map[c])
+    others = {c: [k for k in g if k != c] for c, g in group_of.items()}
+    options = others
+    if kind == "symmetric" and rate > 0:
+        singleton = sorted(c for c in others if not others[c])
+        if singleton:
+            raise ConfigError(
+                "noise.kind: symmetric noise impossible: classes "
+                f"{singleton} have no alternative class in their task")
+    elif kind == "asymmetric":
+        options = {}
+        for c in range(n):
+            members = sorted(k for k in group_of[c] if superclasses[k] == superclasses[c])
             if len(members) < 2:
                 raise ConfigError(
                     f"noise.superclasses: asymmetric noise impossible: class {c} "
                     "has no partner inside its superclass within its task")
-            partner[c] = members[(members.index(c) + 1) % len(members)]
-        lut = np.array([partner[c] for c in range(dataset.num_classes)])
-        noisy[flips] = lut[y[flips]]
-    dataset.labels_noisy[:] = noisy
+            options[c] = [members[(members.index(c) + 1) % len(members)]]
+    bounds = np.array([len(options[c]) for c in range(n)])
+    table = np.zeros((n, bounds.max()), dtype=np.intp)
+    for c in range(n):
+        table[c, :bounds[c]] = options[c]
+    y = dataset.labels_true
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(rng.random(len(dataset)) < rate)
+    # one draw per flipped row, in row order; a one-option class draws nothing
+    dataset.labels_noisy[:] = y
+    dataset.labels_noisy[rows] = table[y[rows], rng.integers(bounds[y[rows]])]
+    majority_flip = any(rate / len(o) >= 1 - rate for o in options.values() if o)
+    if majority_flip:
+        warnings.warn(f"noise.rate: at {rate} a wrong class ties or outnumbers the true "
+                      "one under some noisy label (majority_flip)")
+    if kind == "asymmetric" and options == others:
+        warnings.warn("noise.superclasses: asymmetric noise draws exactly the symmetric "
+                      "flips, since each class's partner is the one other class of its task")
     corrupted = dataset.labels_noisy != y
-    per_class = {int(c): int((corrupted & (y == c)).sum())
-                 for c in range(dataset.num_classes)}
+    per_class = {int(c): int((corrupted & (y == c)).sum()) for c in range(n)}
     return {
-        "kind": spec.kind,
-        "rate": spec.rate,
-        "seed": spec.seed,
+        "kind": kind,
+        "rate": rate,
+        "seed": seed,
+        "majority_flip": majority_flip,
         "total_corrupted": int(corrupted.sum()),
         "fraction_corrupted": float(corrupted.mean()) if len(dataset) else 0.0,
         "per_class_corrupted": per_class,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import aer
 from aer.cli import ABLATION_VARIANTS, main
-from aer.config import PRESETS
+from aer.config import PRESETS, config_hash, load_config
 
 TINY = """
 [run]
@@ -242,6 +242,25 @@ def test_env_var_sets_output_root(tiny_config, tmp_path, monkeypatch):
     assert main(["run", "--config", str(tiny_config)]) == 0
     produced = list((tmp_path / "envroot").glob("run-aer_abs-*/summary.csv"))
     assert len(produced) == 1
+    assert produced[0].parent.name == f"run-aer_abs-{config_hash(load_config(tiny_config))[:12]}"
+
+
+def test_default_out_dir_is_keyed_by_what_the_variants_run(tiny_config, tmp_path,
+                                                           monkeypatch):
+    """A base field that every variant overrides does not split the
+    default directory: ablate's method and sweep-alpha's alpha."""
+    monkeypatch.setenv("AER_OUT_ROOT", str(tmp_path / "envroot"))
+    for command, extra, field, other in (
+            ("ablate", [], "method = aer_abs", "method = gdumb"),
+            ("sweep-alpha", ["--alphas", "0,50"], "alpha = 75", "alpha = 60")):
+        for text in (TINY, TINY.replace(field, other)):
+            tiny_config.write_text(text)
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("ignore")
+                assert main([command, "--config", str(tiny_config), *extra]) == 0
+    names = sorted(p.name for p in (tmp_path / "envroot").iterdir())
+    assert [re.sub("-[0-9a-f]{12}$", "", name) for name in names] == [
+        "ablate", "sweep-alpha-aer_abs"]
 
 
 def test_sweep_with_single_alpha_matches_run(tiny_config, tmp_path):

@@ -251,6 +251,11 @@ def test_gdumb_run_evaluates_fresh_model():
     rec = run_single(cfg, 0)
     assert rec.faa() > 0.5
     assert rec.final_purity is not None
+    # the stream model never trains, so no loss of it is traced
+    for trace in rec.traces:
+        assert (trace["stream_loss"], trace["buffer_clean_loss"],
+                trace["buffer_noisy_loss"]) == (None, None, None)
+        assert trace["buffer_purity"] is not None and trace["offered"] > 0
 
 
 def test_er_ace_abs_updates_buffer_without_alternation():

@@ -8,12 +8,12 @@ file by relative path and content (``manifest.json`` without its
 the command's stdout and stderr. Together the configurations cover the paths the
 benchmark workloads leave out: every method, both consolidation modes,
 single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
-datasets, asymmetric noise and reservoir/GDumb/ABS buffers smaller than a
-batch; ``all-keys`` sets every INI key to a valid non-default value, and
-``abort`` (learning rate 100) diverges in its second task and exits 3,
-leaving a numerical-abort state dump (``model.ckpt``, ``buffer.jsonl``,
-``context.json``). Each configuration declares the exit code it must end
-with.
+datasets, symmetric and asymmetric noise over 2- and 5-class tasks, and
+reservoir/GDumb/ABS buffers smaller than a batch; ``all-keys`` sets every
+INI key to a valid non-default value, and ``abort`` (learning rate 100)
+diverges in its second task and exits 3, leaving a numerical-abort state
+dump (``model.ckpt``, ``buffer.jsonl``, ``context.json``). Each
+configuration declares the exit code it must end with.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -63,6 +63,12 @@ CONFIGS.update({
     "ablate": (["ablate"], {}, 0),
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
     "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}, 0),
+    # 5-class tasks: a symmetric flip draws among four options, and an
+    # asymmetric one among the members of a 3+2 superclass split
+    "symmetric-5way": (["run"], {("dataset", "tasks"): "2"}, 0),
+    "asymmetric-5way": (["run"], {
+        ("dataset", "tasks"): "2", ("noise", "kind"): "asymmetric",
+        ("noise", "superclasses"): "0:0,1:0,2:0,3:1,4:1,5:2,6:2,7:2,8:3,9:3"}, 0),
     "all-keys": (["run"], {
         ("run", "method"): "aer_lass", ("run", "lr"): "0.05", ("run", "momentum"): "0.5",
         ("run", "batch_size"): "12", ("run", "epochs_per_task"): "3",
