@@ -199,9 +199,16 @@ def run_command(args):
     return 0
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning prints as "warning: <message>", without its code location;
+    # the filters and the recording hooks stay as the caller set them
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return run_command(args)
     except (ConfigError, InputError) as exc:
@@ -213,6 +220,8 @@ def main(argv=None):
     except (ParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -160,25 +160,25 @@ def _mixmatch_step(model, mixed_x, mixed_t, n_labeled, lambda_u, lr):
     model.apply_step(model.backward(cache, dlogits), lr=lr)
 
 
-def _buffer_accuracy(model, buffer):
-    pred = model.predict(buffer.features[:buffer.size])
+def _buffer_accuracy(model, buffer, classes=None):
+    pred = model.predict(buffer.features[:buffer.size], classes)
     return {
         "stored_label_accuracy": float((pred == buffer.labels[:buffer.size]).mean()),
         "true_label_accuracy": float((pred == buffer.true_labels[:buffer.size]).mean()),
     }
 
 
-def _fallback_fit(model, buffer, cfg, rng, report, reason):
-    """Consolidate with ``buffer_fit`` when no mixture split is usable."""
-    warnings.warn(f"{reason}; falling back to buffer_fit")
+def _fit_buffer(model, buffer, cfg, rng, report, classes):
+    """Consolidate with ``buffer_fit`` on the consolidation settings; fills
+    ``post`` unless the buffer is empty."""
     buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
                cfg.consolidation_batch, rng=rng)
-    report["fallback"] = "buffer_fit"
-    report["post"] = _buffer_accuracy(model, buffer)
+    if len(buffer):
+        report["post"] = _buffer_accuracy(model, buffer, classes)
     return report
 
 
-def mixmatch_consolidate(model, buffer, cfg, rng):
+def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
     """Semi-supervised consolidation on the buffer; returns a report dict.
 
     Losses are recomputed with a fresh forward pass, split by a
@@ -187,26 +187,25 @@ def mixmatch_consolidate(model, buffer, cfg, rng):
     back to ``buffer_fit`` when the pure set comes out empty (or the buffer
     is too small to fit a mixture). Never reads true labels for training.
 
-    Each epoch permutes the pure and the uncertain entries, then builds all
-    of its batches at once: a batch is ``batch`` pure rows followed by as
-    many uncertain rows (cycling through their permutation), mixed with a
-    per-batch partner permutation and ``Beta(alpha, alpha)`` weights. The
-    draws are made batch by batch in that order before the first step, and
-    the mixup arithmetic runs once over the epoch's stacked rows; each SGD
-    step then trains on its contiguous slice.
+    Each epoch permutes the pure and then the uncertain entries. A batch is
+    ``batch`` pure rows followed by as many uncertain rows, cycling through
+    their permutation; it draws its partner permutation, then its
+    ``Beta(alpha, alpha)`` weights, and mixes features and targets as one
+    ``[features | targets]`` array.
     """
     report = {"kind": "mixmatch", "fallback": None}
     if len(buffer) == 0:
         warnings.warn("consolidation skipped: empty buffer")
         report["fallback"] = "empty_buffer"
         return report
-    report["pre"] = _buffer_accuracy(model, buffer)
+    report["pre"] = _buffer_accuracy(model, buffer, classes)
+    if buffer.size < 4:
+        warnings.warn("buffer too small for a mixture fit; falling back to buffer_fit")
+        report["fallback"] = "buffer_fit"
+        return _fit_buffer(model, buffer, cfg, rng, report, classes)
     x = buffer.features[:buffer.size].copy()
     y = buffer.labels[:buffer.size].copy()
     c = model.num_classes
-    if buffer.size < 4:
-        return _fallback_fit(model, buffer, cfg, rng, report,
-                             "buffer too small for a mixture fit")
     losses = per_sample_ce(model.forward(x), y)
     fit = fit_gmm_em(losses)
     pure, uncertain = split_pure_uncertain(fit, cfg.gmm_threshold)
@@ -218,7 +217,9 @@ def mixmatch_consolidate(model, buffer, cfg, rng):
     report["n_pure"] = int(len(pure))
     report["n_uncertain"] = int(len(uncertain))
     if len(pure) == 0:
-        return _fallback_fit(model, buffer, cfg, rng, report, "empty pure set")
+        warnings.warn("empty pure set; falling back to buffer_fit")
+        report["fallback"] = "buffer_fit"
+        return _fit_buffer(model, buffer, cfg, rng, report, classes)
 
     targets = np.zeros((buffer.size, c))
     targets[pure] = np.eye(c)[y[pure]]
@@ -228,49 +229,35 @@ def mixmatch_consolidate(model, buffer, cfg, rng):
                                   cfg.num_augments, cfg.augment_strength, rng=rng)
         targets[uncertain] = sharpen(refined, cfg.temperature)
 
+    xt = np.hstack((x, targets))
     batch = cfg.consolidation_batch
     for epoch in range(cfg.consolidation_epochs):
         lr_e = _cosine_lr(cfg.consolidation_lr, epoch, cfg.consolidation_epochs)
         order = rng.permutation(pure)
-        starts = range(0, len(order), batch)
-        if len(uncertain):
-            # uncertain rows cycle through their permutation, batch after batch
-            uorder = rng.permutation(uncertain)
-            cycled = uorder[np.arange(len(order)) % len(uorder)]
-            blocks = [np.concatenate((order[s:s + batch], cycled[s:s + batch]))
-                      for s in starts]
-        else:
-            blocks = [order[s:s + batch] for s in starts]
-        # each step draws its partner permutation, then its mixing weights
-        partners, lams, bounds = [], [], [0]
-        for block in blocks:
-            partners.append(bounds[-1] + rng.permutation(len(block)))
-            lams.append(rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=(len(block), 1)))
-            bounds.append(bounds[-1] + len(block))
-        rows = np.concatenate(blocks)
-        partner = rows[np.concatenate(partners)]
-        lam = np.concatenate(lams)
-        lam = np.maximum(lam, 1.0 - lam)
-        mixed_x = lam * x[rows] + (1.0 - lam) * x[partner]
-        mixed_t = lam * targets[rows] + (1.0 - lam) * targets[partner]
-        for s, lo, hi in zip(starts, bounds, bounds[1:]):
-            _mixmatch_step(model, mixed_x[lo:hi], mixed_t[lo:hi],
-                           min(batch, len(order) - s), cfg.lambda_u, lr_e)
-    report["post"] = _buffer_accuracy(model, buffer)
+        cycled = (rng.permutation(uncertain)[np.arange(len(order)) % len(uncertain)]
+                  if len(uncertain) else order[:0])
+        for s in range(0, len(order), batch):
+            labeled = order[s:s + batch]
+            rows = np.concatenate((labeled, cycled[s:s + batch]))
+            partner = rows[rng.permutation(len(rows))]
+            lam = rng.beta(cfg.mixup_alpha, cfg.mixup_alpha, size=(len(rows), 1))
+            lam = np.maximum(lam, 1.0 - lam)
+            mixed = lam * xt[rows] + (1.0 - lam) * xt[partner]
+            _mixmatch_step(model, mixed[:, :-c], mixed[:, -c:], len(labeled),
+                           cfg.lambda_u, lr_e)
+    report["post"] = _buffer_accuracy(model, buffer, classes)
     return report
 
 
-def consolidate(model, buffer, cfg, rng):
-    """Dispatch on ``cfg.consolidation``; returns the report dict."""
+def consolidate(model, buffer, cfg, rng, classes=None):
+    """Dispatch on ``cfg.consolidation``; returns the report dict. Its
+    ``pre``/``post`` buffer accuracies predict over ``classes`` (every
+    class when None)."""
     if cfg.consolidation == "buffer_fit":
         report = {"kind": "buffer_fit", "fallback": None}
         if len(buffer):
-            report["pre"] = _buffer_accuracy(model, buffer)
-        buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
-                   cfg.consolidation_batch, rng=rng)
-        if len(buffer):
-            report["post"] = _buffer_accuracy(model, buffer)
-        return report
+            report["pre"] = _buffer_accuracy(model, buffer, classes)
+        return _fit_buffer(model, buffer, cfg, rng, report, classes)
     if cfg.consolidation == "mixmatch":
-        return mixmatch_consolidate(model, buffer, cfg, rng)
+        return mixmatch_consolidate(model, buffer, cfg, rng, classes)
     raise InputError(f"unknown consolidation mode {cfg.consolidation!r}")

@@ -138,10 +138,10 @@ def prepare_data(cfg, run_seed):
                            noise_report=noise_report)
 
 
-def _accuracy(model, features, labels):
+def _accuracy(model, features, labels, classes=None):
     if len(features) == 0:
         raise InputError("empty test split")
-    return float((model.predict(features) == labels).mean())
+    return float((model.predict(features, classes) == labels).mean())
 
 
 def train_task(model, stream, buffer, cfg, spec, t, rngs):
@@ -164,7 +164,7 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     trace leaves the stream and buffer loss columns empty.
     """
     task_classes = stream.task_classes(t)
-    seen_sorted = tuple(sorted(c for g in stream.class_groups[:t + 1] for c in g))
+    seen_sorted = stream.seen_classes(t)
     epochs = cfg.epochs_per_task
     frozen = spec.alternate and epochs > 1
     modes = alternation_schedule(epochs) if spec.alternate else ("learning",) * epochs
@@ -261,7 +261,8 @@ def _dump_state(model, buffer, out_dir, seed, context):
 
 def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None):
     """Execute one seeded run of the method ``cfg.method`` names, after
-    validating ``cfg``; returns a RunRecord."""
+    validating ``cfg``; returns a RunRecord. After task t, the accuracy row
+    and the consolidation report predict over the classes of tasks 0..t."""
     spec = resolve_method(cfg.validate().method)
     data = prepare_data(cfg, seed)
     record = RunRecord(method_label=spec.label, seed=seed,
@@ -296,8 +297,9 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
             record.traces.extend(traces)
             record.checkpoint_checks += ckpts
             record.buffer_hash_checks += hashes
+            seen = data.stream.seen_classes(t)
             if cfg.consolidation != "none" and len(buffer):
-                report = consolidate(model, buffer, cfg, rngs.consolidation)
+                report = consolidate(model, buffer, cfg, rngs.consolidation, seen)
                 report["task"] = t
                 record.consolidation_reports.append(report)
             eval_model = model
@@ -307,7 +309,8 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
                                  seed=[seed, 24, t])
                 buffer_fit(eval_model, buffer, cfg.gdumb_fit_epochs,
                            cfg.gdumb_fit_lr, rng=rngs.consolidation)
-            row = [_accuracy(eval_model, *data.test_sets[j]) for j in range(t + 1)]
+            row = [_accuracy(eval_model, *data.test_sets[j], seen)
+                   for j in range(t + 1)]
         except NumericalError as exc:
             if dump_dir is not None:
                 dump = _dump_state(model, buffer, dump_dir, seed,

@@ -104,8 +104,10 @@ class MLP:
         """Activations feeding the output layer (the input itself for a linear net)."""
         return self.forward(features, cache=True)[1][-1]
 
-    def predict(self, features):
-        return np.argmax(self.forward(features), axis=1)
+    def predict(self, features, class_mask=None):
+        """Argmax class per row, over the classes of ``class_mask`` if given."""
+        cols = _mask_columns(self.num_classes, class_mask)[0]
+        return cols[np.argmax(self.forward(features)[:, cols], axis=1)]
 
     def backward(self, cache, dlogits):
         """Backpropagate d(loss)/d(logits) into one flat gradient vector.

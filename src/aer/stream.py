@@ -136,8 +136,9 @@ class TaskStream:
     def task_classes(self, t):
         return self.class_groups[t]
 
-    def task_size(self, t):
-        return len(self._task_indices[t])
+    def seen_classes(self, t):
+        """Sorted classes of tasks ``0..t``."""
+        return tuple(sorted(c for g in self.class_groups[:t + 1] for c in g))
 
     def batches(self, t, epoch):
         """Yield the task's examples once, shuffled by (seed, t, epoch)."""

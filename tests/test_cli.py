@@ -226,6 +226,35 @@ def test_a_run_leaves_numpy_ma_unimported(tmp_path):
     assert (tmp_path / "aer_abs" / "consolidation_seed0.json").exists()
 
 
+MAJORITY_TINY = TINY.replace("kind = symmetric", "kind = asymmetric").replace(
+    "rate = 0.3", "rate = 0.6")
+MAJORITY_WARNINGS = [
+    "noise.rate: at 0.6 a wrong class ties or outnumbers the true one under "
+    "some noisy label (majority_flip)",
+    "noise.superclasses: asymmetric noise draws exactly the symmetric flips, "
+    "since each class's partner is the one other class of its task"]
+
+
+def test_warnings_print_as_one_line_without_code_location(tmp_path):
+    (tmp_path / "w.ini").write_text(MAJORITY_TINY)
+    env = dict(os.environ, PYTHONPATH=str(Path(aer.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "aer.cli", "run", "--config", "w.ini",
+                           "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [f"warning: {m}" for m in MAJORITY_WARNINGS]
+
+
+def test_main_leaves_the_warning_state_as_found(tmp_path):
+    (tmp_path / "w.ini").write_text(MAJORITY_TINY)
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning) as caught:
+        assert main(["run", "--config", str(tmp_path / "w.ini"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == MAJORITY_WARNINGS
+    assert warnings.formatwarning is formatwarning
+
+
 def test_seeds_override(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(tiny_config), "--seeds", "3,4",

@@ -5,7 +5,7 @@ from aer import consolidation
 from aer.buffer import MemoryBuffer
 from aer.config import RunConfig
 from aer.consolidation import (_buffer_accuracy, _cosine_lr, _mixmatch_step,
-                               buffer_fit, corefine_labels, fit_gmm_em,
+                               buffer_fit, consolidate, corefine_labels, fit_gmm_em,
                                mixmatch_consolidate, sharpen,
                                split_pure_uncertain)
 from aer.errors import InputError
@@ -187,6 +187,58 @@ def test_mixmatch_empty_pure_set_falls_back():
     with pytest.warns(UserWarning):
         report = mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(2))
     assert report["fallback"] == "buffer_fit"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mixmatch_small_buffer_is_a_buffer_fit(n):
+    """Fewer than 4 entries: the report, warning and model bytes are those
+    of ``buffer_fit`` on the consolidation settings."""
+    cfg = consolidation_cfg(consolidation_epochs=3, consolidation_batch=2)
+    buf = MemoryBuffer(4, 4)
+    for i in range(n):
+        buf.add(np.random.default_rng(i).standard_normal(4), i % 4, (i + 1) % 4, 0, 0.0)
+    model = MLP(4, 4, hidden=(8,), lr=0.1, momentum=0.9, seed=1)
+    direct = MLP(4, 4, hidden=(8,), lr=0.1, momentum=0.9, seed=1)
+    pre = _buffer_accuracy(model, buf)
+    rng, direct_rng = np.random.default_rng(2), np.random.default_rng(2)
+    with pytest.warns(UserWarning) as caught:
+        report = mixmatch_consolidate(model, buf, cfg, rng)
+    assert [str(w.message) for w in caught] == [
+        "buffer too small for a mixture fit; falling back to buffer_fit"]
+    buffer_fit(direct, buf, cfg.consolidation_epochs, cfg.consolidation_lr,
+               cfg.consolidation_batch, rng=direct_rng)
+    assert save_checkpoint(model) == save_checkpoint(direct)
+    assert rng.bit_generator.state == direct_rng.bit_generator.state
+    assert report == {"kind": "mixmatch", "fallback": "buffer_fit", "pre": pre,
+                      "post": _buffer_accuracy(direct, buf)}
+
+
+def test_mixmatch_empty_buffer_is_skipped():
+    cfg = consolidation_cfg()
+    model = MLP(4, 4, hidden=(8,), lr=0.1, seed=1)
+    before = save_checkpoint(model)
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.warns(UserWarning) as caught:
+        report = mixmatch_consolidate(model, MemoryBuffer(4, 4), cfg, rng)
+    assert [str(w.message) for w in caught] == ["consolidation skipped: empty buffer"]
+    assert report == {"kind": "mixmatch", "fallback": "empty_buffer"}
+    assert save_checkpoint(model) == before
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode", ["buffer_fit", "mixmatch"])
+def test_report_accuracies_predict_over_the_given_classes(mode):
+    cfg = consolidation_cfg(consolidation=mode, consolidation_epochs=0)
+    buf = noisy_buffer()
+    model = MLP(4, 4, hidden=(8,), lr=0.1, seed=3)
+    logits = model.forward(buf.features[:buf.size])
+    pred = np.array([1, 3])[np.argmax(logits[:, [1, 3]], axis=1)]
+    report = consolidate(model, buf, cfg, np.random.default_rng(0), classes=(3, 1))
+    for key in ("pre", "post"):
+        assert report[key] == {
+            "stored_label_accuracy": float((pred == buf.labels[:buf.size]).mean()),
+            "true_label_accuracy": float((pred == buf.true_labels[:buf.size]).mean())}
 
 
 def test_mixmatch_report_shape():

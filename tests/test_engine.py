@@ -224,6 +224,14 @@ def test_joint_fills_constant_rows_and_zero_ff():
         assert np.all(row == row[0])
 
 
+def test_ace_scores_each_task_over_the_classes_seen_so_far(bench):
+    """An ACE method never trains the logits of unseen classes down, so
+    just after task 0 its accuracy is only meaningful over task 0's two
+    classes; predicted over every class it was near 0 (0.005 median)."""
+    records = bench.suite("aer_abs_40")
+    assert np.median([r.matrix.entry(0, 0) for r in records]) > 0.6
+
+
 def test_finetune_forgets_task0(bench):
     records = bench.suite("finetune_clean", method="finetune", noise_rate=0.0,
                           seeds=(0,))

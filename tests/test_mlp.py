@@ -179,6 +179,23 @@ def test_repeated_batch_loss_nonincreasing_convex_case():
     assert second <= first
 
 
+@pytest.mark.parametrize("mask", [None, (0, 1, 2, 3), (2,), (3, 0)])
+def test_predict_takes_the_argmax_over_the_mask(mask):
+    model = small_model(seed=2)
+    x = np.random.default_rng(5).standard_normal((40, 3))
+    logits = model.forward(x)
+    cols = np.arange(4) if mask is None else np.array(sorted(mask))
+    expected = [cols[np.argmax(row[cols])] for row in logits]
+    assert model.predict(x, mask).tolist() == [int(c) for c in expected]
+    if mask is None:
+        assert model.predict(x).tolist() == np.argmax(logits, axis=1).tolist()
+
+
+def test_predict_rejects_a_mask_outside_the_classes():
+    with pytest.raises(InputError, match="outside 0..3"):
+        small_model().predict(np.zeros((2, 3)), (1, 4))
+
+
 def test_checkpoint_roundtrip_is_bitwise():
     m = small_model(seed=12)
     ckpt = save_checkpoint(m)

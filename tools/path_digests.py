@@ -6,7 +6,8 @@ inside a temporary directory so that every path is relative, and prints
 file by relative path and content (``manifest.json`` without its
 ``created_utc`` timestamp, so the resolved config and its hash count) plus
 the command's stdout and stderr. Together the configurations cover the paths the
-benchmark workloads leave out: every method, both consolidation modes,
+benchmark workloads leave out: every method, both consolidation modes
+and mixmatch's fallback to ``buffer_fit`` on a buffer too small to split,
 single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
 datasets, symmetric and asymmetric noise over 2- and 5-class tasks, and
 reservoir/GDumb/ABS buffers smaller than a batch; ``all-keys`` sets every
@@ -48,6 +49,10 @@ CONFIGS.update({
     "buffer_fit": (["run"], {("run", "consolidation"): "buffer_fit"}, 0),
     "mixmatch": (["run"], {("run", "consolidation"): "mixmatch",
                            ("consolidation", "epochs"): "3"}, 0),
+    # fewer than 4 buffer entries: mixmatch falls back to buffer_fit
+    "mixmatch-buffer3": (["run"], {("run", "consolidation"): "mixmatch",
+                                   ("run", "buffer_capacity"): "3",
+                                   ("consolidation", "epochs"): "3"}, 0),
     "aer_abs-1epoch": (["run"], {("run", "epochs_per_task"): "1"}, 0),
     "aer_lass-3epoch": (["run"], {("run", "method"): "aer_lass",
                                   ("run", "epochs_per_task"): "3"}, 0),
