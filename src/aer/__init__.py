@@ -15,8 +15,8 @@ from .consolidation import (buffer_fit, corefine_labels, fit_gmm_em,
 from .engine import (RunRecord, alternation_schedule, replay_batch,
                      resolve_method, run_single, train_reference, train_task)
 from .errors import ConfigError, InputError, NumericalError, ParseError
-from .metrics import (AccuracyMatrix, aggregate_seeds, faa, final_forgetting,
-                      separation_trace)
+from .metrics import (AccuracyMatrix, faa, final_forgetting, separation_trace,
+                      summary_row)
 from .mlp import (MLP, augment, ce_gradient, per_sample_ce, restore_checkpoint,
                   save_checkpoint)
 from .stream import (Batch, Dataset, TaskStream, default_superclass_pairs,

@@ -19,7 +19,7 @@ from . import __version__
 from .config import PRESETS, config_hash, load_config, parse_option
 from .engine import run_single, train_reference
 from .errors import ConfigError, InputError, NumericalError, ParseError
-from .metrics import aggregate_seeds, write_summary_csv, write_trace_csv, write_trace_jsonl
+from .metrics import summary_row, write_summary_csv, write_trace_csv, write_trace_jsonl
 
 OUT_ROOT_ENV = "AER_OUT_ROOT"
 
@@ -123,21 +123,7 @@ def _run_variants(cfg, variants, out_dir):
             npath = vdir / "noise_manifest.json"
             npath.write_text(json.dumps(records[0].noise_report, sort_keys=True))
             outputs.append(npath)
-        agg = aggregate_seeds(records)
-        rows.append({
-            "label": label,
-            "method": records[0].method_label,
-            "noise_kind": vcfg.noise_kind,
-            "noise_rate": vcfg.noise_rate,
-            "alpha": vcfg.alpha,
-            "consolidation": vcfg.consolidation,
-            "seeds": ";".join(str(s) for s in vcfg.seeds),
-            "faa_mean": agg["faa"][0], "faa_se": agg["faa"][1],
-            "ff_mean": agg["ff"][0], "ff_se": agg["ff"][1],
-            "purity_mean": agg["purity"][0], "purity_se": agg["purity"][1],
-            "diversity_mean": agg["diversity"][0],
-            "diversity_se": agg["diversity"][1],
-        })
+        rows.append(summary_row(label, vcfg, records))
     summary_path = out_dir / "summary.csv"
     write_summary_csv(rows, summary_path)
     outputs.append(summary_path)

@@ -178,6 +178,18 @@ def _fit_buffer(model, buffer, cfg, rng, report, classes):
     return report
 
 
+def _split_audit(buffer, pure, num_classes):
+    """The pure set's precision and recall against the true labels (recall
+    None when the buffer holds no clean entry) and its entries per stored
+    label."""
+    clean = buffer.labels[:buffer.size] == buffer.true_labels[:buffer.size]
+    n_clean, pure_clean = int(clean.sum()), int(clean[pure].sum())
+    return {"pure_precision": pure_clean / len(pure),
+            "pure_recall": pure_clean / n_clean if n_clean else None,
+            "pure_class_counts": np.bincount(buffer.labels[pure],
+                                             minlength=num_classes).tolist()}
+
+
 def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
     """Semi-supervised consolidation on the buffer; returns a report dict.
 
@@ -185,7 +197,8 @@ def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
     two-component mixture fit, uncertain labels co-refined and sharpened,
     then the model trains on mixup batches of pure + refined targets. Falls
     back to ``buffer_fit`` when the pure set comes out empty (or the buffer
-    is too small to fit a mixture). Never reads true labels for training.
+    is too small to fit a mixture). Never reads true labels for training;
+    a report with a pure set audits it against them (``_split_audit``).
 
     Each epoch permutes the pure and then the uncertain entries. A batch is
     ``batch`` pure rows followed by as many uncertain rows, cycling through
@@ -220,6 +233,7 @@ def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
         warnings.warn("empty pure set; falling back to buffer_fit")
         report["fallback"] = "buffer_fit"
         return _fit_buffer(model, buffer, cfg, rng, report, classes)
+    report.update(_split_audit(buffer, pure, c))
 
     targets = np.zeros((buffer.size, c))
     targets[pure] = np.eye(c)[y[pure]]

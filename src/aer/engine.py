@@ -63,8 +63,6 @@ def replay_batch(buffer, k, rng):
 @dataclass
 class RunRecord:
     """Per-run traces, the accuracy matrix and final buffer statistics."""
-    method_label: str
-    seed: int
     config_key: str
     traces: list = field(default_factory=list)
     matrix: AccuracyMatrix = None
@@ -245,6 +243,19 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     return traces, ckpt_checks, hash_checks
 
 
+def _end_task(trace, row, buffer, t, num_classes):
+    """Add the task-end fields to ``trace``: the accuracy row, and the
+    buffer's entries per task ``0..t`` and per stored label (None without a
+    buffer)."""
+    trace["accuracy_row"] = row
+    trace["buffer_task_counts"] = trace["buffer_class_counts"] = None
+    if buffer is not None:
+        trace["buffer_task_counts"] = np.bincount(
+            buffer.task_ids[:buffer.size], minlength=t + 1).tolist()
+        trace["buffer_class_counts"] = np.bincount(
+            buffer.labels[:buffer.size], minlength=num_classes).tolist()
+
+
 def _dump_state(model, buffer, out_dir, seed, context):
     import json
     from pathlib import Path
@@ -265,8 +276,7 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
     and the consolidation report predict over the classes of tasks 0..t."""
     spec = resolve_method(cfg.validate().method)
     data = prepare_data(cfg, seed)
-    record = RunRecord(method_label=spec.label, seed=seed,
-                       config_key=config_hash(cfg, include_seeds=False),
+    record = RunRecord(config_key=config_hash(cfg, include_seeds=False),
                        noise_report=data.noise_report)
     model = MLP(data.train.dim, data.train.num_classes, cfg.hidden, cfg.lr,
                 cfg.momentum, seed=[seed, 20])
@@ -279,7 +289,7 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
         for j in range(t_count):
             for t in range(j, t_count):
                 record.matrix.set_entry(j, t, per_task[j])
-        record.traces[-1]["accuracy_row"] = per_task
+        _end_task(record.traces[-1], per_task, None, t_count - 1, data.train.num_classes)
         if on_task_end is not None:
             on_task_end(t_count - 1, model, None)
         return record
@@ -319,7 +329,7 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
             raise
         for j, acc in enumerate(row):
             record.matrix.set_entry(j, t, acc)
-        record.traces[-1]["accuracy_row"] = row
+        _end_task(record.traces[-1], row, buffer, t, data.train.num_classes)
         if on_task_end is not None:
             on_task_end(t, eval_model, buffer)
     if spec.policy is not None and len(buffer):

@@ -90,8 +90,17 @@ def standard_error(values):
     return float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def aggregate_seeds(records):
-    """Mean and standard error of each metric across same-config runs."""
+SUMMARY_COLUMNS = [
+    "label", "method", "noise_kind", "noise_rate", "alpha", "consolidation",
+    "seeds", "faa_mean", "faa_se", "ff_mean", "ff_se",
+    "purity_mean", "purity_se", "diversity_mean", "diversity_se",
+]
+
+
+def summary_row(label, cfg, records):
+    """The ``summary.csv`` row of one variant: its config's settings, then
+    the mean and standard error of each metric across its same-config
+    records; both are None when any record lacks the metric."""
     if not records:
         raise InputError("no records to aggregate")
     key = records[0].config_key
@@ -99,23 +108,18 @@ def aggregate_seeds(records):
         if r.config_key != key:
             raise InputError(
                 f"records disagree on config: {r.config_key!r} vs {key!r}")
-    out = {"label": records[0].method_label, "n_seeds": len(records)}
+    row = {"label": label, "method": cfg.method, "noise_kind": cfg.noise_kind,
+           "noise_rate": cfg.noise_rate, "alpha": cfg.alpha,
+           "consolidation": cfg.consolidation,
+           "seeds": ";".join(str(s) for s in cfg.seeds)}
     for name, getter in (("faa", lambda r: r.faa()), ("ff", lambda r: r.ff()),
                          ("purity", lambda r: r.final_purity),
                          ("diversity", lambda r: r.final_diversity)):
         vals = [getter(r) for r in records]
-        if any(v is None for v in vals):
-            out[name] = (None, None)
-        else:
-            out[name] = (float(np.mean(vals)), standard_error(vals))
-    return out
-
-
-SUMMARY_COLUMNS = [
-    "label", "method", "noise_kind", "noise_rate", "alpha", "consolidation",
-    "seeds", "faa_mean", "faa_se", "ff_mean", "ff_se",
-    "purity_mean", "purity_se", "diversity_mean", "diversity_se",
-]
+        stats = (None, None) if None in vals else (float(np.mean(vals)),
+                                                   standard_error(vals))
+        row[f"{name}_mean"], row[f"{name}_se"] = stats
+    return row
 
 
 def _fmt(value):

@@ -244,30 +244,16 @@ def logsumexp(x):
     return peak[:, 0] + np.log(np.exp(x - peak).sum(axis=1))
 
 
-def soft_cross_entropy(logits, targets):
-    """Per-sample CE against probability-vector targets."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return logsumexp(logits) - (np.asarray(targets, dtype=np.float64) * logits).sum(axis=1)
-
-
 def soft_ce_gradient(logits, targets):
     """Gradient of batch-mean soft-target CE w.r.t. logits."""
     return (softmax(logits) - np.asarray(targets, dtype=np.float64)) / len(logits)
 
 
-def prob_mse(logits, targets):
-    """Per-sample squared error between softmax outputs and target probabilities.
-
-    Normalised by the class count, matching the usual consistency-loss
-    convention for semi-supervised mixing.
-    """
-    p = softmax(logits)
-    diff = p - np.asarray(targets, dtype=np.float64)
-    return (diff ** 2).sum(axis=1) / logits.shape[1]
-
-
 def prob_mse_gradient(logits, targets):
-    """Gradient of batch-mean ``prob_mse`` w.r.t. logits (softmax Jacobian applied)."""
+    """Gradient w.r.t. logits of the batch mean of the per-sample squared
+    error between softmax outputs and target probabilities, divided by the
+    class count (the usual consistency-loss convention for semi-supervised
+    mixing); the softmax Jacobian is applied."""
     logits = np.asarray(logits, dtype=np.float64)
     n, c = logits.shape
     p = softmax(logits)

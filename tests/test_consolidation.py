@@ -187,6 +187,7 @@ def test_mixmatch_empty_pure_set_falls_back():
     with pytest.warns(UserWarning):
         report = mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(2))
     assert report["fallback"] == "buffer_fit"
+    assert not {"pure_precision", "pure_recall", "pure_class_counts"} & set(report)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -252,6 +253,32 @@ def test_mixmatch_report_shape():
     assert 0 <= report["post"]["true_label_accuracy"] <= 1
 
 
+def expected_split_audit(buffer, pure, classes):
+    labels = buffer.labels[:buffer.size]
+    clean = labels == buffer.true_labels[:buffer.size]
+    return {"pure_precision": clean[pure].sum() / len(pure),
+            "pure_recall": clean[pure].sum() / clean.sum() if clean.any() else None,
+            "pure_class_counts": [int((labels[pure] == c).sum()) for c in range(classes)]}
+
+
+@pytest.mark.parametrize("noise", [0.3, 1.0])
+def test_mixmatch_report_audits_the_split_against_true_labels(monkeypatch, noise):
+    """Precision is the clean share of the pure set, recall the share of the
+    clean entries that are pure (None when no entry is clean)."""
+    cfg = consolidation_cfg(consolidation_epochs=1)
+    buf = noisy_buffer(noise=noise)
+    splits = []
+    monkeypatch.setattr(consolidation, "split_pure_uncertain", lambda fit, thr: (
+        splits.append(split_pure_uncertain(fit, thr)) or splits[-1]))
+    model = MLP(4, 4, hidden=(8,), lr=0.1, seed=3)
+    report = mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(1))
+    assert report["fallback"] is None
+    expected = expected_split_audit(buf, splits[0][0], 4)
+    assert {k: report[k] for k in expected} == expected
+    assert sum(report["pure_class_counts"]) == report["n_pure"]
+    assert (report["pure_recall"] is None) == (noise == 1.0)
+
+
 def reference_mixmatch_consolidate(model, buffer, cfg, rng):
     """``mixmatch_consolidate`` with its first mixup loop: per step, the
     rows are gathered and stacked, then drawn for and mixed on their own.
@@ -267,6 +294,7 @@ def reference_mixmatch_consolidate(model, buffer, cfg, rng):
                      "weights": fit.weights.tolist()}
     report["n_pure"] = int(len(pure))
     report["n_uncertain"] = int(len(uncertain))
+    report.update(expected_split_audit(buffer, pure, c))
     targets = np.zeros((buffer.size, c))
     targets[pure] = np.eye(c)[y[pure]]
     if len(uncertain):

@@ -7,6 +7,7 @@ import pytest
 from types import SimpleNamespace
 
 from aer import buffer as buffer_mod
+from aer import consolidation as consolidation_mod
 from aer import engine
 from aer.buffer import MemoryBuffer
 from aer.config import RunConfig
@@ -324,6 +325,64 @@ def test_trace_records_have_accuracy_rows_at_task_end():
     rows = [t for t in rec.traces if "accuracy_row" in t]
     assert len(rows) == cfg.tasks
     assert len(rows[-1]["accuracy_row"]) == cfg.tasks
+
+
+@pytest.mark.parametrize("method", ["aer_abs", "aer_lass", "er", "gdumb"])
+def test_task_end_records_count_the_buffer_by_task_and_class(method):
+    """Each task-end record holds the bincounts, by task id over 0..t and by
+    stored label over every class, of the buffer ``on_task_end`` sees."""
+    cfg = tiny_cfg(method=method)
+    seen = []
+
+    def on_task_end(t, model, buf):
+        seen.append((np.bincount(buf.task_ids[:buf.size], minlength=t + 1).tolist(),
+                     np.bincount(buf.labels[:buf.size], minlength=cfg.classes).tolist(),
+                     buf.size))
+
+    rec = run_single(cfg, 0, on_task_end=on_task_end)
+    ends = [t for t in rec.traces if "accuracy_row" in t]
+    assert len(ends) == len(seen) == cfg.tasks
+    for t, (trace, (tasks, classes, size)) in enumerate(zip(ends, seen)):
+        assert trace["buffer_task_counts"] == tasks
+        assert trace["buffer_class_counts"] == classes
+        assert len(tasks) == t + 1 and len(classes) == cfg.classes
+        assert sum(tasks) == sum(classes) == size > 0
+    others = [t for t in rec.traces if "accuracy_row" not in t]
+    assert not any("buffer_task_counts" in t or "buffer_class_counts" in t for t in others)
+
+
+@pytest.mark.parametrize("method", ["finetune", "joint"])
+def test_task_end_buffer_counts_are_none_without_a_buffer(method):
+    rec = run_single(tiny_cfg(method=method), 0)
+    ends = [t for t in rec.traces if "accuracy_row" in t]
+    assert ends
+    assert all(t["buffer_task_counts"] is None and t["buffer_class_counts"] is None
+               for t in ends)
+
+
+def test_mixmatch_reports_audit_their_split(monkeypatch):
+    """Each report's pure-set precision, recall and class counts equal what
+    its task's buffer and split give."""
+    cfg = tiny_cfg(consolidation="mixmatch", consolidation_epochs=2, noise_rate=0.4)
+    splits, buffers = [], []
+    real_split = consolidation_mod.split_pure_uncertain
+
+    def split(fit, threshold):
+        result = real_split(fit, threshold)
+        splits.append(result[0])
+        return result
+
+    monkeypatch.setattr(consolidation_mod, "split_pure_uncertain", split)
+    rec = run_single(cfg, 0, on_task_end=lambda t, model, buf: buffers.append(
+        (buf.labels[:buf.size].copy(), buf.true_labels[:buf.size].copy())))
+    assert len(rec.consolidation_reports) == len(splits) == cfg.tasks
+    for report, pure, (labels, true) in zip(rec.consolidation_reports, splits, buffers):
+        assert report["fallback"] is None and len(pure)
+        clean = labels == true
+        assert report["pure_precision"] == clean[pure].sum() / len(pure)
+        assert report["pure_recall"] == clean[pure].sum() / clean.sum()
+        assert report["pure_class_counts"] == [int((labels[pure] == c).sum())
+                                               for c in range(cfg.classes)]
 
 
 def audited_run(cfg):

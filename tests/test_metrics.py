@@ -3,8 +3,9 @@ import pytest
 
 from aer.buffer import MemoryBuffer
 from aer.errors import InputError
-from aer.metrics import (AccuracyMatrix, aggregate_seeds, faa,
-                         final_forgetting, separation_trace, standard_error,
+from aer.config import RunConfig
+from aer.metrics import (SUMMARY_COLUMNS, AccuracyMatrix, faa, final_forgetting,
+                         separation_trace, standard_error, summary_row,
                          write_summary_csv, write_trace_csv)
 from aer.mlp import MLP, per_sample_ce
 
@@ -102,10 +103,10 @@ def test_separation_empty_buffer():
 
 
 class FakeRecord:
-    def __init__(self, faa_value, key="k", purity=None):
+    def __init__(self, faa_value, key="k", purity=None, ff=None):
         self._faa = faa_value
+        self._ff = ff
         self.config_key = key
-        self.method_label = "fake"
         self.final_purity = purity
         self.final_diversity = None
 
@@ -113,23 +114,46 @@ class FakeRecord:
         return self._faa
 
     def ff(self):
-        return None
+        return self._ff
+
+
+CFG = RunConfig(method="er_ace_abs", seeds=(3, 1)).validate()
 
 
 def test_aggregate_single_record_has_zero_se():
-    agg = aggregate_seeds([FakeRecord(0.5)])
-    assert agg["faa"] == (0.5, 0.0)
+    row = summary_row("x", CFG, [FakeRecord(0.5)])
+    assert list(row) == SUMMARY_COLUMNS
+    assert (row["faa_mean"], row["faa_se"]) == (0.5, 0.0)
+    assert row["label"] == "x"
+    assert row["method"] == "er_ace_abs"
+    assert row["seeds"] == "3;1"
+    assert (row["noise_kind"], row["noise_rate"], row["alpha"], row["consolidation"]) == (
+        CFG.noise_kind, CFG.noise_rate, CFG.alpha, CFG.consolidation)
+    assert (row["diversity_mean"], row["diversity_se"]) == (None, None)
 
 
 def test_aggregate_two_records():
-    agg = aggregate_seeds([FakeRecord(0.4), FakeRecord(0.6)])
-    assert agg["faa"][0] == pytest.approx(0.5)
-    assert agg["faa"][1] == pytest.approx(0.1)
+    row = summary_row("x", CFG, [FakeRecord(0.4, ff=0.1), FakeRecord(0.6, ff=0.3)])
+    assert row["faa_mean"] == pytest.approx(0.5)
+    assert row["faa_se"] == pytest.approx(0.1)
+    assert row["ff_mean"] == pytest.approx(0.2)
+    assert row["ff_se"] == pytest.approx(0.1)
 
 
 def test_aggregate_mismatched_configs_is_error():
-    with pytest.raises(InputError):
-        aggregate_seeds([FakeRecord(0.4, key="a"), FakeRecord(0.6, key="b")])
+    with pytest.raises(InputError, match="records disagree on config: 'b' vs 'a'"):
+        summary_row("x", CFG, [FakeRecord(0.4, key="a"), FakeRecord(0.6, key="b")])
+
+
+def test_summary_row_without_records_is_error():
+    with pytest.raises(InputError, match="no records to aggregate"):
+        summary_row("x", CFG, [])
+
+
+def test_summary_row_leaves_ff_empty_when_any_record_lacks_it():
+    row = summary_row("x", CFG, [FakeRecord(0.4, ff=0.1), FakeRecord(0.6, ff=None)])
+    assert (row["ff_mean"], row["ff_se"]) == (None, None)
+    assert row["faa_mean"] == pytest.approx(0.5)
 
 
 def test_standard_error_matches_definition():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from aer.errors import InputError, NumericalError
-from aer.mlp import (MLP, augment, ce_gradient, per_sample_ce, prob_mse,
+from aer.mlp import (MLP, augment, ce_gradient, logsumexp, per_sample_ce,
                      prob_mse_gradient, restore_checkpoint, save_checkpoint,
-                     soft_ce_gradient, soft_cross_entropy, softmax)
+                     soft_ce_gradient, softmax)
 
 
 def small_model(seed=0, hidden=(5, 4), in_dim=3, classes=4, lr=0.1):
@@ -148,6 +148,17 @@ def test_hidden_network_gradient_matches_finite_differences():
     labels = rng.integers(0, 4, size=5)
     assert relative_grad_error(m, x, labels) < 1e-4
     assert relative_grad_error(m, x, labels, mask={0, 1, 2}) < 1e-4
+
+
+def soft_cross_entropy(logits, targets):
+    """Per-sample CE against probability-vector targets."""
+    return logsumexp(logits) - (targets * logits).sum(axis=1)
+
+
+def prob_mse(logits, targets):
+    """Per-sample squared error between softmax outputs and target
+    probabilities, divided by the class count."""
+    return ((softmax(logits) - targets) ** 2).sum(axis=1) / logits.shape[1]
 
 
 @pytest.mark.parametrize("loss, gradient", [

@@ -8,7 +8,8 @@ file by relative path and content (``manifest.json`` without its
 the command's stdout and stderr. Together the configurations cover the paths the
 benchmark workloads leave out: every method, both consolidation modes
 and mixmatch's fallback to ``buffer_fit`` on a buffer too small to split,
-single-epoch and odd-epoch alternation, ``sweep-alpha``, ``ablate``, CSV
+single-epoch and odd-epoch alternation, a single task (whose summary
+leaves the ``ff`` columns empty), ``sweep-alpha``, ``ablate``, CSV
 datasets, symmetric and asymmetric noise over 2- and 5-class tasks, and
 reservoir/GDumb/ABS buffers smaller than a batch; ``all-keys`` sets every
 INI key to a valid non-default value, and ``abort`` (learning rate 100)
@@ -54,6 +55,8 @@ CONFIGS.update({
                                    ("run", "buffer_capacity"): "3",
                                    ("consolidation", "epochs"): "3"}, 0),
     "aer_abs-1epoch": (["run"], {("run", "epochs_per_task"): "1"}, 0),
+    # one task: final forgetting is undefined, so the summary's ff columns are empty
+    "one-task": (["run"], {("dataset", "tasks"): "1"}, 0),
     "aer_lass-3epoch": (["run"], {("run", "method"): "aer_lass",
                                   ("run", "epochs_per_task"): "3"}, 0),
     "sweep-alpha": (["sweep-alpha", "--alphas", "0,50,90"], {}, 0),
