@@ -92,11 +92,6 @@ class MemoryBuffer:
         self.counts[kind + "_noisy"] += int(self.labels[i] != self.true_labels[i])
         self._write(i, features, label, true_label, task_id, loss)
 
-    def task_counts(self):
-        counts = np.bincount(self.task_ids[:self.size])
-        ids = np.flatnonzero(counts)
-        return dict(zip(ids.tolist(), counts[ids].tolist()))
-
     def refresh_losses(self, model, n=None):
         """Recompute the cached losses of the first n (default all) entries."""
         n = self.size if n is None else n
@@ -280,20 +275,10 @@ def gdumb_update(buffer, features, labels, true_labels, task_ids, losses, rng):
 
 
 def purity(buffer):
-    """Fraction of entries whose stored label matches the true label.
-
-    Returns (overall, per-class dict); empty stored-label classes are
-    excluded from the per-class report.
-    """
+    """Fraction of entries whose stored label matches the true label."""
     if len(buffer) == 0:
         raise InputError("buffer is empty")
-    stored = buffer.labels[:buffer.size]
-    true = buffer.true_labels[:buffer.size]
-    per_class = {}
-    for c in np.flatnonzero(np.bincount(stored)):
-        mask = stored == c
-        per_class[int(c)] = float((true[mask] == c).mean())
-    return float((stored == true).mean()), per_class
+    return float((buffer.labels[:buffer.size] == buffer.true_labels[:buffer.size]).mean())
 
 
 def diversity(buffer, reference_model):
@@ -301,21 +286,17 @@ def diversity(buffer, reference_model):
 
     Per stored-label class: the mean over feature coordinates of the
     standard deviation of penultimate-layer activations across that
-    class's entries. Classes with fewer than two entries report 0.
+    class's entries. Classes with fewer than two entries count 0 (warned).
     """
     if len(buffer) == 0:
         raise InputError("buffer is empty")
     stored = buffer.labels[:buffer.size]
     feats = reference_model.penultimate(buffer.features[:buffer.size])
-    per_class = {}
     overall = 0.0
     for c in np.flatnonzero(np.bincount(stored)):
         mask = stored == c
         if mask.sum() < 2:
             warnings.warn(f"class {int(c)} has < 2 buffer entries; diversity 0")
-            value = 0.0
-        else:
-            value = float(feats[mask].std(axis=0).mean())
-        per_class[int(c)] = value
-        overall += mask.sum() / buffer.size * value
-    return float(overall), per_class
+            continue
+        overall += mask.sum() / buffer.size * float(feats[mask].std(axis=0).mean())
+    return float(overall)

@@ -112,10 +112,10 @@ class RunConfig:
     gdumb_fit_lr: float = _option("run.gdumb_fit_lr", 0.05, _gt(0))
     dataset_kind: str = _option("dataset.kind", "synthetic",
                                 _one_of(("synthetic", "csv"), "synthetic|csv"))
-    classes: int = _option("dataset.classes", 10)
-    dims: int = _option("dataset.dims", 16)
-    per_class: int = _option("dataset.per_class", 500)
-    cluster_spread: float = _option("dataset.cluster_spread", 1.0)
+    classes: int = _option("dataset.classes", 10, _ge(2))
+    dims: int = _option("dataset.dims", 16, _ge(1))
+    per_class: int = _option("dataset.per_class", 500, _ge(1))
+    cluster_spread: float = _option("dataset.cluster_spread", 1.0, _ge(0))
     tasks: int = _option("dataset.tasks", 5, _ge(1))
     test_fraction: float = _option("dataset.test_fraction", 0.2,
                                    ("in (0, 1)", lambda v: not 0 < v < 1))
@@ -166,14 +166,6 @@ class RunConfig:
         if self.dataset_kind == "csv" and not self.dataset_path:
             bad("dataset.path", "required when dataset.kind = csv")
         if self.dataset_kind == "synthetic":
-            if self.classes < 2:
-                bad("dataset.classes", f"must be >= 2, got {self.classes}")
-            if self.dims < 1:
-                bad("dataset.dims", f"must be >= 1, got {self.dims}")
-            if self.per_class < 1:
-                bad("dataset.per_class", f"must be >= 1, got {self.per_class}")
-            if not 0 <= self.cluster_spread < math.inf:
-                bad("dataset.cluster_spread", f"must be >= 0, got {self.cluster_spread}")
             if self.classes % self.tasks:
                 bad("dataset.tasks",
                     f"{self.classes} classes not divisible by {self.tasks} tasks")

@@ -133,10 +133,7 @@ def _cosine_lr(base, step, total):
 
 
 def buffer_fit(model, buffer, epochs, lr, batch_size=64, *, rng):
-    """Plain supervised fine-tuning on the buffer with cosine-decayed lr."""
-    if len(buffer) == 0:
-        warnings.warn("buffer_fit on an empty buffer is a no-op")
-        return model
+    """Plain supervised fine-tuning on a non-empty buffer with cosine-decayed lr."""
     x = buffer.features[:buffer.size]
     y = buffer.labels[:buffer.size]
     for epoch in range(epochs):
@@ -169,12 +166,11 @@ def _buffer_accuracy(model, buffer, classes=None):
 
 
 def _fit_buffer(model, buffer, cfg, rng, report, classes):
-    """Consolidate with ``buffer_fit`` on the consolidation settings; fills
-    ``post`` unless the buffer is empty."""
+    """Consolidate with ``buffer_fit`` on the consolidation settings and
+    fill ``post``."""
     buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
                cfg.consolidation_batch, rng=rng)
-    if len(buffer):
-        report["post"] = _buffer_accuracy(model, buffer, classes)
+    report["post"] = _buffer_accuracy(model, buffer, classes)
     return report
 
 
@@ -191,7 +187,8 @@ def _split_audit(buffer, pure, num_classes):
 
 
 def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
-    """Semi-supervised consolidation on the buffer; returns a report dict.
+    """Semi-supervised consolidation on a non-empty buffer; returns a report
+    dict.
 
     Losses are recomputed with a fresh forward pass, split by a
     two-component mixture fit, uncertain labels co-refined and sharpened,
@@ -206,12 +203,8 @@ def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
     ``Beta(alpha, alpha)`` weights, and mixes features and targets as one
     ``[features | targets]`` array.
     """
-    report = {"kind": "mixmatch", "fallback": None}
-    if len(buffer) == 0:
-        warnings.warn("consolidation skipped: empty buffer")
-        report["fallback"] = "empty_buffer"
-        return report
-    report["pre"] = _buffer_accuracy(model, buffer, classes)
+    report = {"kind": "mixmatch", "fallback": None,
+              "pre": _buffer_accuracy(model, buffer, classes)}
     if buffer.size < 4:
         warnings.warn("buffer too small for a mixture fit; falling back to buffer_fit")
         report["fallback"] = "buffer_fit"
@@ -268,9 +261,8 @@ def consolidate(model, buffer, cfg, rng, classes=None):
     ``pre``/``post`` buffer accuracies predict over ``classes`` (every
     class when None)."""
     if cfg.consolidation == "buffer_fit":
-        report = {"kind": "buffer_fit", "fallback": None}
-        if len(buffer):
-            report["pre"] = _buffer_accuracy(model, buffer, classes)
+        report = {"kind": "buffer_fit", "fallback": None,
+                  "pre": _buffer_accuracy(model, buffer, classes)}
         return _fit_buffer(model, buffer, cfg, rng, report, classes)
     if cfg.consolidation == "mixmatch":
         return mixmatch_consolidate(model, buffer, cfg, rng, classes)

@@ -50,12 +50,9 @@ def alternation_schedule(epochs):
 
 
 def replay_batch(buffer, k, rng):
-    """Uniform draw of k entries; with replacement only when the buffer is
-    smaller than k. An empty buffer yields an empty batch."""
+    """Uniform draw of k entries of a non-empty buffer; with replacement
+    only when the buffer is smaller than k."""
     size = len(buffer)
-    if size == 0:
-        return Batch(np.zeros((0, buffer.dim)), np.zeros(0, dtype=np.intp),
-                     np.zeros(0, dtype=np.intp))
     sel = rng.choice(size, size=k, replace=size < k)
     return Batch(buffer.features[sel], buffer.labels[sel], buffer.true_labels[sel])
 
@@ -87,7 +84,8 @@ def load_splits(cfg):
     (train, test) sets with clean labels.
 
     Every class of a CSV dataset, 0 to its largest label, must have test
-    rows; a class without is a ``ParseError`` that names it.
+    rows, and there must be at least two classes; a ``ParseError`` names
+    the class without test rows, or the file whose labels hold one class.
     """
     if cfg.dataset_kind == "csv":
         base = load_csv(cfg.dataset_path)
@@ -103,6 +101,8 @@ def load_splits(cfg):
             fault = ("no rows" if c not in train.labels_true else
                      f"no test rows at dataset.test_fraction = {cfg.test_fraction}")
             raise ParseError(f"{cfg.dataset_path}: class {c} has {fault}")
+        if base.num_classes < 2:
+            raise ParseError(f"{cfg.dataset_path}: labels hold one class, need >= 2")
         if base.num_classes % cfg.tasks:
             raise ConfigError(
                 f"dataset.tasks: {base.num_classes} classes not divisible by "
@@ -137,8 +137,6 @@ def prepare_data(cfg, run_seed):
 
 
 def _accuracy(model, features, labels, classes=None):
-    if len(features) == 0:
-        raise InputError("empty test split")
     return float((model.predict(features, classes) == labels).mean())
 
 
@@ -227,7 +225,7 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
             if spec.policy != "gdumb":
                 trace["buffer_clean_loss"], trace["buffer_noisy_loss"] = \
                     separation_trace(buffer, model)
-            trace["buffer_purity"] = buffer_mod.purity(buffer)[0]
+            trace["buffer_purity"] = buffer_mod.purity(buffer)
         traces.append(trace)
         if forgetting:
             restore_checkpoint(model, ckpt)
@@ -333,9 +331,9 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
         if on_task_end is not None:
             on_task_end(t, eval_model, buffer)
     if spec.policy is not None and len(buffer):
-        record.final_purity = buffer_mod.purity(buffer)[0]
+        record.final_purity = buffer_mod.purity(buffer)
         if reference_model is not None:
-            record.final_diversity = buffer_mod.diversity(buffer, reference_model)[0]
+            record.final_diversity = buffer_mod.diversity(buffer, reference_model)
     return record
 
 

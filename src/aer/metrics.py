@@ -32,9 +32,6 @@ class AccuracyMatrix:
             raise InputError(f"accuracy must be in [0, 1], got {value}")
         self.values[j, t] = value
 
-    def entry(self, j, t):
-        return self.values[j, t]
-
     def final_row(self):
         return self.values[:, self.num_tasks - 1]
 
@@ -73,8 +70,6 @@ def separation_trace(buffer, model):
 
     Returns (clean_mean, noisy_mean); an empty partition reports None.
     """
-    if len(buffer) == 0:
-        return None, None
     logits = model.forward(buffer.features[:buffer.size])
     losses = per_sample_ce(logits, buffer.labels[:buffer.size])
     clean = buffer.labels[:buffer.size] == buffer.true_labels[:buffer.size]

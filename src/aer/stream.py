@@ -256,7 +256,7 @@ def save_csv(dataset, path):
             fh.write(",".join([repr(float(v)) for v in row] + [str(int(lab))]) + "\n")
 
 
-def load_csv(path, num_classes=None):
+def load_csv(path):
     """Parse a ``f0..f{d-1},label`` file; errors carry the 1-based line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -285,16 +285,14 @@ def load_csv(path, num_classes=None):
             lab = int(parts[-1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer label {parts[-1]!r}") from None
-        if lab < 0 or (num_classes is not None and lab >= num_classes):
+        if lab < 0:
             raise ParseError(f"line {lineno}: unknown label {lab}")
         labels.append(lab)
     if not feats:
         raise ParseError("line 2: no data rows")
     labels = np.array(labels, dtype=np.intp)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
     return Dataset(np.array(feats, dtype=np.float64), labels, labels.copy(),
-                   num_classes)
+                   int(labels.max()) + 1)
 
 
 def standardize(train, *others):

@@ -364,9 +364,7 @@ def test_bad_cached_loss_in_draw_is_numerical_error(selector, bad):
 
 def test_purity_clean_buffer_is_one():
     buf = filled_buffer([0.1] * 6, true_labels=[0, 1, 0, 1, 0, 1])
-    overall, per_class = purity(buf)
-    assert overall == 1.0
-    assert per_class == {0: 1.0, 1: 1.0}
+    assert purity(buf) == 1.0
 
 
 def test_purity_one_mislabeled_of_four():
@@ -375,9 +373,7 @@ def test_purity_one_mislabeled_of_four():
     buf.add(np.zeros(2), 0, 0, 0, 0.0)
     buf.add(np.zeros(2), 1, 1, 0, 0.0)
     buf.add(np.zeros(2), 1, 0, 0, 0.0)  # stored 1, truly 0
-    overall, per_class = purity(buf)
-    assert overall == 0.75
-    assert per_class[1] == 0.5
+    assert purity(buf) == 0.75
 
 
 def test_diversity_duplicate_entries_is_zero():
@@ -385,8 +381,7 @@ def test_diversity_duplicate_entries_is_zero():
     buf = MemoryBuffer(4, 2)
     for _ in range(4):
         buf.add(np.array([1.0, 2.0]), 0, 0, 0, 0.0)
-    overall, per_class = diversity(buf, model)
-    assert overall == 0.0 and per_class[0] == 0.0
+    assert diversity(buf, model) == 0.0
 
 
 def test_diversity_two_entries_matches_hand_std():
@@ -394,10 +389,8 @@ def test_diversity_two_entries_matches_hand_std():
     buf = MemoryBuffer(2, 2)
     buf.add(np.array([0.0, 0.0]), 0, 0, 0, 0.0)
     buf.add(np.array([2.0, 4.0]), 0, 0, 0, 0.0)
-    overall, per_class = diversity(buf, model)
     # per-coordinate stds are 1 and 2; mean 1.5
-    assert abs(per_class[0] - 1.5) < 1e-12
-    assert abs(overall - 1.5) < 1e-12
+    assert abs(diversity(buf, model) - 1.5) < 1e-12
 
 
 def test_diversity_single_entry_class_warns_zero():
@@ -406,9 +399,10 @@ def test_diversity_single_entry_class_warns_zero():
     buf.add(np.array([0.0, 0.0]), 0, 0, 0, 0.0)
     buf.add(np.array([1.0, 1.0]), 0, 0, 0, 0.0)
     buf.add(np.array([5.0, 5.0]), 1, 1, 0, 0.0)
-    with pytest.warns(UserWarning):
-        _, per_class = diversity(buf, model)
-    assert per_class[1] == 0.0
+    with pytest.warns(UserWarning, match="^class 1 has < 2 buffer entries"):
+        overall = diversity(buf, model)
+    # class 0 (stds 0.5, 0.5) weighs 2/3; class 1 counts 0
+    assert abs(overall - 2 / 3 * 0.5) < 1e-12
 
 
 def reference_reservoir_update(buffer, features, label, true_label, task_id, loss, rng):
@@ -486,10 +480,10 @@ def test_batch_insertion_matches_per_candidate_reference(policy):
 
 
 def test_class_enumeration_matches_np_unique_with_missing_classes():
-    """purity, diversity, ``task_counts`` and ``gdumb_update`` enumerate the
-    classes present by ``bincount``; on random labels drawn from a few of 12
-    classes they agree with an ``np.unique`` enumeration (for GDumb, the
-    per-candidate reference above)."""
+    """diversity and ``gdumb_update`` enumerate the classes present by
+    ``bincount``; on random labels drawn from a few of 12 classes they agree
+    with an ``np.unique`` enumeration (for GDumb, the per-candidate reference
+    above)."""
     rng = np.random.default_rng(19)
     model = MLP(3, 12, hidden=(5,), lr=0.1, seed=0)
     for trial in range(60):
@@ -500,14 +494,16 @@ def test_class_enumeration_matches_np_unique_with_missing_classes():
         buf = MemoryBuffer(n, 3)
         for row in zip(rng.random((n, 3)), labels, true, tasks):
             buf.add(*row, 0.0)
-        present = np.unique(labels)
-        assert purity(buf)[1] == {int(c): float((true[labels == c] == c).mean())
-                                  for c in present}
+        assert purity(buf) == float((labels == true).mean())
+        feats = model.penultimate(buf.features[:n])
+        spread = {int(c): float(feats[labels == c].std(axis=0).mean())
+                  for c in np.unique(labels) if (labels == c).sum() >= 2}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert list(diversity(buf, model)[1]) == present.tolist()
+            assert diversity(buf, model) == pytest.approx(
+                sum((labels == c).sum() / n * v for c, v in spread.items()), rel=1e-12)
         ids, counts = np.unique(tasks, return_counts=True)
-        assert buf.task_counts() == dict(zip(ids.tolist(), counts.tolist()))
+        assert np.bincount(buf.task_ids[:buf.size])[ids].tolist() == counts.tolist()
 
         fast, ref = RecordingBuffer(n, 3), RecordingBuffer(n, 3)
         m = int(rng.integers(0, 3 * n))
@@ -537,8 +533,8 @@ def test_capacity_never_exceeded_and_task_counts_exact():
         i = np.arange(start, start + 5)
         reservoir_update(buf, *scalar_rows(i, i % 3, i % 4), rng)
         assert len(buf) <= 7
-    counts = buf.task_counts()
-    assert sum(counts.values()) == len(buf)
+    counts = np.bincount(buf.task_ids[:buf.size])
+    assert len(counts) <= 4 and counts.sum() == len(buf)
 
 
 def test_content_hash_tracks_identity_not_losses():

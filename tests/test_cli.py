@@ -373,7 +373,7 @@ def malformed_csvs(draw):
     """(csv text, expected exit code, text the message must contain)."""
     classes = draw(st.sampled_from([4, 5, 6]))
     rows = csv_rows(classes, 10, draw(st.integers(0, 99)))
-    fault = draw(st.sampled_from(["none", "cell", "ragged", "gap", "few"]))
+    fault = draw(st.sampled_from(["none", "cell", "ragged", "gap", "few", "one_class"]))
     r = draw(st.integers(0, len(rows) - 1))
     # the run has 2 tasks: an odd class count is a config error, reported
     # after parse faults and classes without test rows
@@ -395,6 +395,9 @@ def malformed_csvs(draw):
         kept = rows[10 * few:10 * few + draw(st.integers(1, 4))]
         rows = [row for row in rows if not row.endswith(f",{few}")] + kept
         expect = (4, f"class {few} has no test rows")
+    elif fault == "one_class":
+        rows = [row.rsplit(",", 1)[0] + ",0" for row in rows]
+        expect = (4, "data.csv: labels hold one class")
     return "f0,f1,label\n" + "\n".join(rows) + "\n", *expect
 
 
@@ -457,6 +460,15 @@ def test_label_gap_is_named_before_the_divisibility_check(tmp_path):
     code, err = run_cli(tmp_path, kind="csv", path=f"path = {data}")
     assert code == 4
     assert "class 2 has no rows" in err
+
+
+@pytest.mark.parametrize("tasks", [1, 2])
+def test_one_class_csv_exits_4_naming_the_file(tmp_path, tasks):
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n" + "\n".join(csv_rows(1, 10, 0)) + "\n")
+    code, err = run_cli(tmp_path, kind="csv", path=f"path = {data}", tasks=tasks)
+    assert code == 4
+    assert err == f"data error: {data}: labels hold one class, need >= 2\n"
 
 
 def test_empty_synthetic_test_split_is_rejected_before_training(tmp_path):

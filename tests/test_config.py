@@ -83,6 +83,19 @@ def test_validation_messages_name_the_field():
         RunConfig(per_class=4, test_fraction=0.2).validate()
 
 
+@pytest.mark.parametrize("kind", ["synthetic", "csv"])
+@pytest.mark.parametrize("field, value, message", [
+    ("classes", 1, "dataset.classes: must be >= 2, got 1"),
+    ("dims", 0, "dataset.dims: must be >= 1, got 0"),
+    ("per_class", 0, "dataset.per_class: must be >= 1, got 0"),
+    ("cluster_spread", -0.5, "dataset.cluster_spread: must be >= 0, got -0.5"),
+])
+def test_synthetic_fields_are_checked_for_every_dataset_kind(kind, field, value, message):
+    cfg = RunConfig(dataset_kind=kind, dataset_path="data.csv", **{field: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cfg.validate()
+
+
 def test_bad_values_name_field_on_parse(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[run]\nlr = fast\n")

@@ -214,20 +214,6 @@ def test_mixmatch_small_buffer_is_a_buffer_fit(n):
                       "post": _buffer_accuracy(direct, buf)}
 
 
-def test_mixmatch_empty_buffer_is_skipped():
-    cfg = consolidation_cfg()
-    model = MLP(4, 4, hidden=(8,), lr=0.1, seed=1)
-    before = save_checkpoint(model)
-    rng = np.random.default_rng(2)
-    state = rng.bit_generator.state
-    with pytest.warns(UserWarning) as caught:
-        report = mixmatch_consolidate(model, MemoryBuffer(4, 4), cfg, rng)
-    assert [str(w.message) for w in caught] == ["consolidation skipped: empty buffer"]
-    assert report == {"kind": "mixmatch", "fallback": "empty_buffer"}
-    assert save_checkpoint(model) == before
-    assert rng.bit_generator.state == state
-
-
 @pytest.mark.parametrize("mode", ["buffer_fit", "mixmatch"])
 def test_report_accuracies_predict_over_the_given_classes(mode):
     cfg = consolidation_cfg(consolidation=mode, consolidation_epochs=0)
@@ -382,15 +368,6 @@ def test_buffer_fit_epoch_loss_nonincreasing():
         buffer_fit(model, buf, epochs=1, lr=0.05, rng=rng)
     diffs = np.diff(means)
     assert np.all(diffs <= 1e-6)
-
-
-def test_buffer_fit_empty_buffer_warns_noop():
-    model = MLP(4, 4, hidden=(8,), lr=0.1, seed=0)
-    before = save_checkpoint(model)
-    with pytest.warns(UserWarning):
-        buffer_fit(model, MemoryBuffer(4, 4), epochs=3, lr=0.1,
-                   rng=np.random.default_rng(0))
-    assert save_checkpoint(model) == before
 
 
 def test_gmm_split_tracks_buffer_noise_fraction():

@@ -23,7 +23,7 @@ def test_entries_above_staircase_are_rejected():
     m = AccuracyMatrix(3)
     with pytest.raises(InputError):
         m.set_entry(2, 1, 0.5)
-    assert np.isnan(m.entry(2, 1))
+    assert np.isnan(m.values[2, 1])
 
 
 def test_faa_all_ones():

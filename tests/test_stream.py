@@ -432,9 +432,9 @@ def test_csv_non_finite_error_names_line(tmp_path, cell):
 
 def test_csv_unknown_label_error(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("f0,f1,label\n0.1,1.0,7\n")
-    with pytest.raises(ParseError, match="line 2"):
-        load_csv(path, num_classes=4)
+    path.write_text("f0,f1,label\n0.1,1.0,-1\n")
+    with pytest.raises(ParseError, match="^line 2: unknown label -1$"):
+        load_csv(path)
 
 
 def test_csv_bad_header_is_error(tmp_path):

@@ -19,3 +19,19 @@ def test_path_digests_prints_one_stable_digest_per_configuration():
     assert [line.split()[0] for line in lines] == ["aer_abs-1epoch", "csv", "abort"]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_unreached_lines_lists_lines_two_configurations_never_run():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "unreached_lines.py"),
+                           "aer_abs-1epoch", "csv"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"src/aer/\w+\.py:\d+: \S.*", line) for line in lines)
+    unreached = {line.split(": ", 1)[1] for line in lines}
+    # neither configuration aborts or runs GDumb; both validate their config
+    assert 'buffer.dump_jsonl(dump / "buffer.jsonl")' in unreached
+    assert "gdumb_update(*cand, rngs.buffer)" in unreached
+    assert "spec = resolve_method(cfg.validate().method)" not in unreached
+    assert re.fullmatch(rf"{len(lines)} of \d+ executable lines unreached\n", proc.stderr)
