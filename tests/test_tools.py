@@ -30,8 +30,11 @@ def test_unreached_lines_lists_lines_two_configurations_never_run():
     lines = proc.stdout.splitlines()
     assert lines and all(re.fullmatch(r"src/aer/\w+\.py:\d+: \S.*", line) for line in lines)
     unreached = {line.split(": ", 1)[1] for line in lines}
-    # neither configuration aborts or runs GDumb; both validate their config
+    # neither configuration aborts or runs GDumb; both validate their config,
+    # and single-epoch alternation warns through the CLI's formatter, since
+    # the digests show every warning
     assert 'buffer.dump_jsonl(dump / "buffer.jsonl")' in unreached
     assert "gdumb_update(*cand, rngs.buffer)" in unreached
     assert "spec = resolve_method(cfg.validate().method)" not in unreached
+    assert 'return f"warning: {message}\\n"' not in unreached
     assert re.fullmatch(rf"{len(lines)} of \d+ executable lines unreached\n", proc.stderr)

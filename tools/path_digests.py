@@ -5,7 +5,9 @@ inside a temporary directory so that every path is relative, and prints
 ``<name> <sha256>`` per configuration. Each digest covers every output
 file by relative path and content (``manifest.json`` without its
 ``created_utc`` timestamp, so the resolved config and its hash count) plus
-the command's stdout and stderr. Together the configurations cover the paths the
+the command's stdout and stderr. Every warning is shown (filter
+``"always"``), so each one reaches the hashed stderr as a
+``warning: <message>`` line, whatever configurations ran before it. Together the configurations cover the paths the
 benchmark workloads leave out: every method, both consolidation modes
 and mixmatch's fallback to ``buffer_fit`` on a buffer too small to split,
 single-epoch and odd-epoch alternation, a single task (whose summary
@@ -119,7 +121,7 @@ def digest(name, command, overrides, expected_code):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("always")
         code = aer_main([command[0], "--config", str(ini), "--out", str(out),
                          *command[1:]])
     if code != expected_code:
