@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .buffer import (MemoryBuffer, diversity, insertion_candidates, purity,
                      replace_with_candidates, reservoir_update)
 from .config import PRESETS, MethodSpec, RunConfig, config_hash, load_config
-from .consolidation import (buffer_fit, corefine_labels, fit_gmm_em,
-                            mixmatch_consolidate, sharpen, split_pure_uncertain)
+from .consolidation import (buffer_fit, consolidate, corefine_labels, fit_gmm_em,
+                            sharpen, split_pure_uncertain)
 from .engine import (RunRecord, alternation_schedule, replay_batch, run_single,
                      train_reference, train_task)
 from .errors import ConfigError, InputError, NumericalError, ParseError

@@ -165,15 +165,6 @@ def _buffer_accuracy(model, buffer, classes=None):
     }
 
 
-def _fit_buffer(model, buffer, cfg, rng, report, classes):
-    """Consolidate with ``buffer_fit`` on the consolidation settings and
-    fill ``post``."""
-    buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
-               cfg.consolidation_batch, rng=rng)
-    report["post"] = _buffer_accuracy(model, buffer, classes)
-    return report
-
-
 def _split_audit(buffer, pure, num_classes):
     """The pure set's precision and recall against the true labels (recall
     None when the buffer holds no clean entry) and its entries per stored
@@ -186,49 +177,11 @@ def _split_audit(buffer, pure, num_classes):
                                              minlength=num_classes).tolist()}
 
 
-def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
-    """Semi-supervised consolidation on a non-empty buffer; returns a report
-    dict.
-
-    Losses are recomputed with a fresh forward pass, split by a
-    two-component mixture fit, uncertain labels co-refined and sharpened,
-    then the model trains on mixup batches of pure + refined targets. Falls
-    back to ``buffer_fit`` when the pure set comes out empty (or the buffer
-    is too small to fit a mixture). Never reads true labels for training;
-    a report with a pure set audits it against them (``_split_audit``).
-
-    Each epoch permutes the pure and then the uncertain entries. A batch is
-    ``batch`` pure rows followed by as many uncertain rows, cycling through
-    their permutation; it draws its partner permutation, then its
-    ``Beta(alpha, alpha)`` weights, and mixes features and targets as one
-    ``[features | targets]`` array.
-    """
-    report = {"kind": "mixmatch", "fallback": None,
-              "pre": _buffer_accuracy(model, buffer, classes)}
-    if buffer.size < 4:
-        warnings.warn("buffer too small for a mixture fit; falling back to buffer_fit")
-        report["fallback"] = "buffer_fit"
-        return _fit_buffer(model, buffer, cfg, rng, report, classes)
-    x = buffer.features[:buffer.size].copy()
-    y = buffer.labels[:buffer.size].copy()
+def _mixup_fit(model, x, y, fit, pure, uncertain, cfg, rng):
+    """Train on mixup batches of one-hot pure and co-refined, sharpened
+    uncertain targets (see ``consolidate``)."""
     c = model.num_classes
-    losses = per_sample_ce(model.forward(x), y)
-    fit = fit_gmm_em(losses)
-    pure, uncertain = split_pure_uncertain(fit, cfg.gmm_threshold)
-    report["gmm"] = {
-        "means": fit.means.tolist(),
-        "variances": fit.variances.tolist(),
-        "weights": fit.weights.tolist(),
-    }
-    report["n_pure"] = int(len(pure))
-    report["n_uncertain"] = int(len(uncertain))
-    if len(pure) == 0:
-        warnings.warn("empty pure set; falling back to buffer_fit")
-        report["fallback"] = "buffer_fit"
-        return _fit_buffer(model, buffer, cfg, rng, report, classes)
-    report.update(_split_audit(buffer, pure, c))
-
-    targets = np.zeros((buffer.size, c))
+    targets = np.zeros((len(x), c))
     targets[pure] = np.eye(c)[y[pure]]
     if len(uncertain):
         refined = corefine_labels(model, x[uncertain], y[uncertain],
@@ -252,18 +205,50 @@ def mixmatch_consolidate(model, buffer, cfg, rng, classes=None):
             mixed = lam * xt[rows] + (1.0 - lam) * xt[partner]
             _mixmatch_step(model, mixed[:, :-c], mixed[:, -c:], len(labeled),
                            cfg.lambda_u, lr_e)
-    report["post"] = _buffer_accuracy(model, buffer, classes)
-    return report
 
 
 def consolidate(model, buffer, cfg, rng, classes=None):
-    """Dispatch on ``cfg.consolidation``; returns the report dict. Its
-    ``pre``/``post`` buffer accuracies predict over ``classes`` (every
-    class when None)."""
-    if cfg.consolidation == "buffer_fit":
-        report = {"kind": "buffer_fit", "fallback": None,
-                  "pre": _buffer_accuracy(model, buffer, classes)}
-        return _fit_buffer(model, buffer, cfg, rng, report, classes)
-    if cfg.consolidation == "mixmatch":
-        return mixmatch_consolidate(model, buffer, cfg, rng, classes)
-    raise InputError(f"unknown consolidation mode {cfg.consolidation!r}")
+    """Consolidate the model on a non-empty buffer by ``cfg.consolidation``;
+    returns a report dict whose ``pre``/``post`` buffer accuracies predict
+    over ``classes`` (every class when None).
+
+    ``buffer_fit`` fine-tunes on the stored labels with the consolidation
+    settings. ``mixmatch`` recomputes losses with a fresh forward pass,
+    splits them by a two-component mixture fit, co-refines and sharpens
+    the uncertain labels, then trains on mixup batches of pure + refined
+    targets. It falls back to the same ``buffer_fit`` when the buffer is
+    too small to fit a mixture or the pure set comes out empty. Never
+    reads true labels for training; a report with a pure set audits it
+    against them (``_split_audit``).
+
+    Each epoch permutes the pure and then the uncertain entries. A batch is
+    ``batch`` pure rows followed by as many uncertain rows, cycling through
+    their permutation; it draws its partner permutation, then its
+    ``Beta(alpha, alpha)`` weights, and mixes features and targets as one
+    ``[features | targets]`` array.
+    """
+    if cfg.consolidation not in ("buffer_fit", "mixmatch"):
+        raise InputError(f"unknown consolidation mode {cfg.consolidation!r}")
+    report = {"kind": cfg.consolidation, "fallback": None,
+              "pre": _buffer_accuracy(model, buffer, classes)}
+    if cfg.consolidation == "mixmatch" and buffer.size < 4:
+        warnings.warn("buffer too small for a mixture fit; falling back to buffer_fit")
+        report["fallback"] = "buffer_fit"
+    elif cfg.consolidation == "mixmatch":
+        x, y = buffer.features[:buffer.size], buffer.labels[:buffer.size]
+        fit = fit_gmm_em(per_sample_ce(model.forward(x), y))
+        pure, uncertain = split_pure_uncertain(fit, cfg.gmm_threshold)
+        report["gmm"] = {"means": fit.means.tolist(), "variances": fit.variances.tolist(),
+                         "weights": fit.weights.tolist()}
+        report["n_pure"], report["n_uncertain"] = int(len(pure)), int(len(uncertain))
+        if len(pure):
+            report.update(_split_audit(buffer, pure, model.num_classes))
+            _mixup_fit(model, x, y, fit, pure, uncertain, cfg, rng)
+        else:
+            warnings.warn("empty pure set; falling back to buffer_fit")
+            report["fallback"] = "buffer_fit"
+    if cfg.consolidation == "buffer_fit" or report["fallback"]:
+        buffer_fit(model, buffer, cfg.consolidation_epochs, cfg.consolidation_lr,
+                   cfg.consolidation_batch, rng=rng)
+    report["post"] = _buffer_accuracy(model, buffer, classes)
+    return report

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from aer.buffer import MemoryBuffer
 from aer.config import RunConfig
 from aer.consolidation import (_buffer_accuracy, _cosine_lr, _mixmatch_step,
                                buffer_fit, consolidate, corefine_labels, fit_gmm_em,
-                               mixmatch_consolidate, sharpen,
-                               split_pure_uncertain)
+                               sharpen, split_pure_uncertain)
 from aer.errors import InputError
 from aer.mlp import MLP, per_sample_ce, save_checkpoint, soft_ce_gradient
 from aer.stream import make_synthetic
@@ -168,7 +169,7 @@ def test_mixmatch_never_reads_true_labels():
         for _ in range(30):
             sel = np.random.default_rng(0).permutation(buf.size)[:32]
             model.train_step(buf.features[sel], buf.labels[sel])
-        mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(9))
+        consolidate(model, buf, cfg, rng=np.random.default_rng(9))
         return save_checkpoint(model)
 
     assert run(False) == run(True)
@@ -185,7 +186,7 @@ def test_mixmatch_empty_pure_set_falls_back():
     for w in model.weights:
         w[:] = 0.0
     with pytest.warns(UserWarning):
-        report = mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(2))
+        report = consolidate(model, buf, cfg, rng=np.random.default_rng(2))
     assert report["fallback"] == "buffer_fit"
     assert not {"pure_precision", "pure_recall", "pure_class_counts"} & set(report)
 
@@ -193,25 +194,30 @@ def test_mixmatch_empty_pure_set_falls_back():
 @pytest.mark.parametrize("n", [1, 3])
 def test_mixmatch_small_buffer_is_a_buffer_fit(n):
     """Fewer than 4 entries: the report, warning and model bytes are those
-    of ``buffer_fit`` on the consolidation settings."""
-    cfg = consolidation_cfg(consolidation_epochs=3, consolidation_batch=2)
+    of ``buffer_fit`` on the consolidation settings, the same single call
+    that ``buffer_fit`` mode makes without a warning."""
     buf = MemoryBuffer(4, 4)
     for i in range(n):
         buf.add(np.random.default_rng(i).standard_normal(4), i % 4, (i + 1) % 4, 0, 0.0)
-    model = MLP(4, 4, hidden=(8,), lr=0.1, momentum=0.9, seed=1)
-    direct = MLP(4, 4, hidden=(8,), lr=0.1, momentum=0.9, seed=1)
-    pre = _buffer_accuracy(model, buf)
-    rng, direct_rng = np.random.default_rng(2), np.random.default_rng(2)
-    with pytest.warns(UserWarning) as caught:
-        report = mixmatch_consolidate(model, buf, cfg, rng)
-    assert [str(w.message) for w in caught] == [
-        "buffer too small for a mixture fit; falling back to buffer_fit"]
-    buffer_fit(direct, buf, cfg.consolidation_epochs, cfg.consolidation_lr,
-               cfg.consolidation_batch, rng=direct_rng)
-    assert save_checkpoint(model) == save_checkpoint(direct)
-    assert rng.bit_generator.state == direct_rng.bit_generator.state
-    assert report == {"kind": "mixmatch", "fallback": "buffer_fit", "pre": pre,
-                      "post": _buffer_accuracy(direct, buf)}
+    fallback_warning = "buffer too small for a mixture fit; falling back to buffer_fit"
+    for mode, fallback, warned in [("mixmatch", "buffer_fit", [fallback_warning]),
+                                   ("buffer_fit", None, [])]:
+        cfg = consolidation_cfg(consolidation=mode, consolidation_epochs=3,
+                                consolidation_batch=2)
+        model = MLP(4, 4, hidden=(8,), lr=0.1, momentum=0.9, seed=1)
+        direct = MLP(4, 4, hidden=(8,), lr=0.1, momentum=0.9, seed=1)
+        pre = _buffer_accuracy(model, buf)
+        rng, direct_rng = np.random.default_rng(2), np.random.default_rng(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = consolidate(model, buf, cfg, rng)
+        assert [str(w.message) for w in caught] == warned
+        buffer_fit(direct, buf, cfg.consolidation_epochs, cfg.consolidation_lr,
+                   cfg.consolidation_batch, rng=direct_rng)
+        assert save_checkpoint(model) == save_checkpoint(direct)
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
+        assert report == {"kind": mode, "fallback": fallback, "pre": pre,
+                          "post": _buffer_accuracy(direct, buf)}
 
 
 @pytest.mark.parametrize("mode", ["buffer_fit", "mixmatch"])
@@ -232,7 +238,7 @@ def test_mixmatch_report_shape():
     cfg = consolidation_cfg(consolidation_epochs=3)
     buf = noisy_buffer()
     model = MLP(4, 4, hidden=(8,), lr=0.1, seed=3)
-    report = mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(1))
+    report = consolidate(model, buf, cfg, rng=np.random.default_rng(1))
     assert report["fallback"] is None
     assert report["n_pure"] + report["n_uncertain"] == len(buf)
     assert len(report["gmm"]["means"]) == 2
@@ -257,7 +263,7 @@ def test_mixmatch_report_audits_the_split_against_true_labels(monkeypatch, noise
     monkeypatch.setattr(consolidation, "split_pure_uncertain", lambda fit, thr: (
         splits.append(split_pure_uncertain(fit, thr)) or splits[-1]))
     model = MLP(4, 4, hidden=(8,), lr=0.1, seed=3)
-    report = mixmatch_consolidate(model, buf, cfg, rng=np.random.default_rng(1))
+    report = consolidate(model, buf, cfg, rng=np.random.default_rng(1))
     assert report["fallback"] is None
     expected = expected_split_audit(buf, splits[0][0], 4)
     assert {k: report[k] for k in expected} == expected
@@ -266,7 +272,7 @@ def test_mixmatch_report_audits_the_split_against_true_labels(monkeypatch, noise
 
 
 def reference_mixmatch_consolidate(model, buffer, cfg, rng):
-    """``mixmatch_consolidate`` with its first mixup loop: per step, the
+    """``consolidate`` in mixmatch mode with its first mixup loop: per step, the
     rows are gathered and stacked, then drawn for and mixed on their own.
     Covers the non-fallback path only."""
     report = {"kind": "mixmatch", "fallback": None,
@@ -331,10 +337,10 @@ def test_mixmatch_epoch_batches_match_per_step_reference(monkeypatch, n_pure,
     monkeypatch.setattr(consolidation, "split_pure_uncertain", lambda fit, thr: (
         np.sort(split[:n_pure]), np.sort(split[n_pure:n_pure + n_uncertain])))
     results = []
-    for consolidate in (mixmatch_consolidate, reference_mixmatch_consolidate):
+    for run in (consolidate, reference_mixmatch_consolidate):
         model = MLP(4, 4, hidden=(8, 6), lr=0.1, momentum=0.9, seed=3)
         rng = np.random.default_rng(11)
-        report = consolidate(model, buf, cfg, rng)
+        report = run(model, buf, cfg, rng)
         results.append((save_checkpoint(model), report, rng.bit_generator.state))
     assert results[0][1]["n_pure"] == n_pure
     assert results[0] == results[1]
