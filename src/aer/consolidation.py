@@ -129,7 +129,7 @@ def corefine_labels(model, features, noisy_labels, posterior_low, num_classes,
 
 
 def _cosine_lr(base, step, total):
-    return base * 0.5 * (1.0 + math.cos(math.pi * step / max(total, 1)))
+    return base * 0.5 * (1.0 + math.cos(math.pi * step / total))
 
 
 def buffer_fit(model, buffer, epochs, lr, batch_size=64, *, rng):
@@ -146,11 +146,11 @@ def buffer_fit(model, buffer, epochs, lr, batch_size=64, *, rng):
 
 
 def _mixmatch_step(model, mixed_x, mixed_t, n_labeled, lambda_u, lr):
-    """One SGD step on L_s (soft CE, labeled rows) + lambda_u * L_u (consistency)."""
+    """One SGD step on L_s (soft CE, the first ``n_labeled`` >= 1 rows) +
+    lambda_u * L_u (consistency, the rest)."""
     logits, cache = model.forward(mixed_x, cache=True)
     dlogits = np.zeros_like(logits)
-    if n_labeled:
-        dlogits[:n_labeled] = soft_ce_gradient(logits[:n_labeled], mixed_t[:n_labeled])
+    dlogits[:n_labeled] = soft_ce_gradient(logits[:n_labeled], mixed_t[:n_labeled])
     if n_labeled < len(mixed_x):
         dlogits[n_labeled:] = lambda_u * prob_mse_gradient(
             logits[n_labeled:], mixed_t[n_labeled:])
