@@ -83,12 +83,19 @@ def load_splits(cfg):
     """Load the configured dataset and split it into standardized
     (train, test) sets with clean labels.
 
-    Every class of a CSV dataset, 0 to its largest label, must have test
-    rows, and there must be at least two classes; a ``ParseError`` names
-    the class without test rows, or the file whose labels hold one class.
+    Every class of a CSV dataset, 0 to its largest label, must have rows
+    (checked before the split, whose work grows with the largest label)
+    and test rows, and there must be at least two classes; a
+    ``ParseError`` names the first class without rows or test rows, or the
+    file whose labels hold one class.
     """
     if cfg.dataset_kind == "csv":
         base = load_csv(cfg.dataset_path)
+        # sorted labels after a -1 sentinel: a step above 1 skips a class
+        labels = np.concatenate(([-1], np.sort(base.labels_true)))
+        skip = np.flatnonzero(np.diff(labels) > 1)
+        if len(skip):
+            raise ParseError(f"{cfg.dataset_path}: class {labels[skip[0]] + 1} has no rows")
     else:
         base = make_synthetic(cfg.classes, cfg.dims, cfg.per_class,
                               cfg.cluster_spread, cfg.dataset_seed)
@@ -97,10 +104,8 @@ def load_splits(cfg):
         untested = np.flatnonzero(np.bincount(test.labels_true,
                                               minlength=base.num_classes) == 0)
         if len(untested):
-            c = untested[0]
-            fault = ("no rows" if c not in train.labels_true else
-                     f"no test rows at dataset.test_fraction = {cfg.test_fraction}")
-            raise ParseError(f"{cfg.dataset_path}: class {c} has {fault}")
+            raise ParseError(f"{cfg.dataset_path}: class {untested[0]} has no test rows "
+                             f"at dataset.test_fraction = {cfg.test_fraction}")
         if base.num_classes < 2:
             raise ParseError(f"{cfg.dataset_path}: labels hold one class, need >= 2")
         if base.num_classes % cfg.tasks:

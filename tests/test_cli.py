@@ -462,6 +462,22 @@ def test_label_gap_is_named_before_the_divisibility_check(tmp_path):
     assert "class 2 has no rows" in err
 
 
+def test_far_label_gap_exits_4_before_the_split(tmp_path):
+    """Labels {0, 1, 10**12}: the gap is named before the split, whose work
+    grows with the largest label."""
+    far = [row.rsplit(",", 1)[0] + f",{10**12}" for row in csv_rows(1, 10, 1)]
+    (tmp_path / "data.csv").write_text(
+        "f0,f1,label\n" + "\n".join(csv_rows(2, 10, 0) + far) + "\n")
+    (tmp_path / "g.ini").write_text(
+        TINY.replace("kind = synthetic", "kind = csv\npath = data.csv"))
+    env = dict(os.environ, PYTHONPATH=str(Path(aer.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "aer.cli", "run", "--config", "g.ini",
+                           "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "data error: data.csv: class 2 has no rows\n"
+
+
 @pytest.mark.parametrize("tasks", [1, 2])
 def test_one_class_csv_exits_4_naming_the_file(tmp_path, tasks):
     data = tmp_path / "data.csv"

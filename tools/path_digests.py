@@ -7,17 +7,19 @@ file by relative path and content (``manifest.json`` without its
 ``created_utc`` timestamp, so the resolved config and its hash count) plus
 the command's stdout and stderr. Every warning is shown (filter
 ``"always"``), so each one reaches the hashed stderr as a
-``warning: <message>`` line, whatever configurations ran before it. Together the configurations cover the paths the
-benchmark workloads leave out: every method, both consolidation modes
-and mixmatch's fallback to ``buffer_fit`` on a buffer too small to split,
-single-epoch and odd-epoch alternation, a single task (whose summary
-leaves the ``ff`` columns empty), ``sweep-alpha``, ``ablate``, CSV
-datasets, symmetric and asymmetric noise over 2- and 5-class tasks, and
-reservoir/GDumb/ABS buffers smaller than a batch; ``all-keys`` sets every
-INI key to a valid non-default value, and ``abort`` (learning rate 100)
-diverges in its second task and exits 3, leaving a numerical-abort state
-dump (``model.ckpt``, ``buffer.jsonl``, ``context.json``). Each
-configuration declares the exit code it must end with.
+``warning: <message>`` line, whatever configurations ran before it.
+Together the configurations cover the paths the benchmark workloads leave
+out: every method, both consolidation modes and mixmatch's fallback to
+``buffer_fit`` on a buffer too small to split, single-epoch and odd-epoch
+alternation, a single task (whose summary leaves the ``ff`` columns
+empty), ``sweep-alpha``, ``ablate``, CSV datasets, symmetric and
+asymmetric noise over 2- and 5-class tasks, and reservoir/GDumb/ABS
+buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
+non-default value, ``abort`` (learning rate 100) diverges in its second
+task and exits 3, leaving a numerical-abort state dump (``model.ckpt``,
+``buffer.jsonl``, ``context.json``), and ``csv-gap`` reads a CSV without
+class 2 and exits 4. Each configuration declares the exit code it must
+end with.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -72,6 +74,8 @@ CONFIGS.update({
     "abs-buffer2": (["run"], {("run", "buffer_capacity"): "2", ("run", "alpha"): "0"}, 0),
     "ablate": (["ablate"], {}, 0),
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
+    # labels 0-9 without 2: a data error naming the class
+    "csv-gap": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "gap.csv"}, 4),
     "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}, 0),
     # 5-class tasks: a symmetric flip draws among four options, and an
     # asymmetric one among the members of a 3+2 superclass split
@@ -115,7 +119,9 @@ def digest(name, command, overrides, expected_code):
     hex digest."""
     csv_path = Path("data.csv")
     if not csv_path.exists():
-        save_csv(make_synthetic(10, 8, 60, 1.0, 5), csv_path)
+        data = make_synthetic(10, 8, 60, 1.0, 5)
+        save_csv(data, csv_path)
+        save_csv(data.subset(data.labels_true != 2), Path("gap.csv"))
     ini, out = Path(f"{name}.ini"), Path(name)
     _write_ini(ini, overrides)
     stdout, stderr = io.StringIO(), io.StringIO()
