@@ -240,7 +240,7 @@ def consolidate(model, buffer, cfg, rng, classes=None):
         pure, uncertain = split_pure_uncertain(fit, cfg.gmm_threshold)
         report["gmm"] = {"means": fit.means.tolist(), "variances": fit.variances.tolist(),
                          "weights": fit.weights.tolist()}
-        report["n_pure"], report["n_uncertain"] = int(len(pure)), int(len(uncertain))
+        report["n_pure"], report["n_uncertain"] = len(pure), len(uncertain)
         if len(pure):
             report.update(_split_audit(buffer, pure, model.num_classes))
             _mixup_fit(model, x, y, fit, pure, uncertain, cfg, rng)
