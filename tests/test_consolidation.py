@@ -180,15 +180,21 @@ def test_mixmatch_empty_pure_set_falls_back():
     buf = MemoryBuffer(8, 4)
     for i in range(8):
         buf.add(np.random.default_rng(i).standard_normal(4), i % 4, i % 4, 0, 0.0)
-    model = MLP(4, 4, hidden=(8,), lr=0.1, seed=1)
+    model, direct = (MLP(4, 4, hidden=(8,), lr=0.1, seed=1) for _ in range(2))
     # identical logits for identical losses: zero the weights so every loss
     # is ln(4) and the mixture degenerates to posteriors of exactly 0.5
-    for w in model.weights:
+    for w in model.weights + direct.weights:
         w[:] = 0.0
+    rng, direct_rng = np.random.default_rng(2), np.random.default_rng(2)
     with pytest.warns(UserWarning):
-        report = consolidate(model, buf, cfg, rng=np.random.default_rng(2))
+        report = consolidate(model, buf, cfg, rng)
     assert report["fallback"] == "buffer_fit"
     assert not {"pure_precision", "pure_recall", "pure_class_counts"} & set(report)
+    # the split draws nothing, so the fallback is the plain buffer_fit call
+    buffer_fit(direct, buf, cfg.consolidation_epochs, cfg.consolidation_lr,
+               cfg.consolidation_batch, rng=direct_rng)
+    assert save_checkpoint(model) == save_checkpoint(direct)
+    assert rng.bit_generator.state == direct_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 3])
