@@ -12,8 +12,7 @@ from .buffer import (MemoryBuffer, diversity, insertion_candidates, purity,
 from .config import PRESETS, MethodSpec, RunConfig, config_hash, load_config
 from .consolidation import (buffer_fit, consolidate, corefine_labels, fit_gmm_em,
                             sharpen, split_pure_uncertain)
-from .engine import (RunRecord, alternation_schedule, replay_batch, run_single,
-                     train_reference, train_task)
+from .engine import RunRecord, replay_batch, run_single, train_reference, train_task
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .metrics import (AccuracyMatrix, faa, final_forgetting, separation_trace,
                       summary_row)

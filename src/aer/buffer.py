@@ -42,7 +42,8 @@ class MemoryBuffer:
     or, in a forgetting epoch, once at its start (``engine.train_task``).
     True labels are carried for purity audits only. ``n_seen`` counts every
     candidate row offered to reservoir and LASS/ABS insertion. ``counts``
-    tallies, since the engine last cleared it, every row written
+    tallies, since the engine last cleared it, every row an insertion
+    policy is offered (``offered``, ``offered_clean``), every row written
     (``written``, ``written_clean``) and every entry replaced, as
     ``evicted_current`` when its task is the incoming row's and
     ``evicted_past`` otherwise, each with a ``_noisy`` twin.
@@ -127,8 +128,12 @@ class MemoryBuffer:
 
 
 def _append(buffer, features, labels, true_labels, task_ids, losses):
-    """Append leading rows while the buffer is below capacity; returns how
-    many were appended. Every insertion policy fills this way."""
+    """Count the candidate rows in ``counts`` (``offered``,
+    ``offered_clean``), then append leading rows while the buffer is below
+    capacity; returns how many were appended. Every insertion policy starts
+    this way."""
+    buffer.counts["offered"] += len(features)
+    buffer.counts["offered_clean"] += int((labels == true_labels).sum())
     n = min(len(features), buffer.capacity - buffer.size)
     for i in range(n):
         buffer.add(features[i], labels[i], true_labels[i], task_ids[i], losses[i])

@@ -10,7 +10,7 @@ learning-epoch updates persist.
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +20,7 @@ from .buffer import (MemoryBuffer, gdumb_update, insertion_candidates,
                      replace_with_candidates, reservoir_update)
 from .config import PRESETS, config_hash, parse_superclasses
 from .consolidation import buffer_fit, consolidate
-from .errors import ConfigError, InputError, NumericalError, ParseError
+from .errors import ConfigError, NumericalError, ParseError
 from .metrics import (AUDIT_COLUMNS, AccuracyMatrix, faa, final_forgetting,
                       separation_trace)
 from .mlp import MLP, ce_gradient, per_sample_ce, restore_checkpoint, save_checkpoint
@@ -32,21 +32,6 @@ def resolve_method(name):
     if name not in PRESETS:
         raise ConfigError(f"unknown method {name!r}; known: {', '.join(PRESETS)}")
     return PRESETS[name]
-
-
-def alternation_schedule(epochs):
-    """Epoch modes of an alternating task: learning first, then strict
-    alternation with forgetting.
-
-    A single epoch cannot alternate; it degenerates to one learning epoch
-    (warned), which ``train_task`` runs unfrozen, with buffer updates.
-    """
-    if epochs < 1:
-        raise InputError(f"epochs must be >= 1, got {epochs}")
-    if epochs == 1:
-        warnings.warn("single-epoch task: alternation impossible, "
-                      "running one learning epoch with buffer updates enabled")
-    return tuple("learning" if e % 2 == 0 else "forgetting" for e in range(epochs))
 
 
 def replay_batch(buffer, k, rng):
@@ -79,15 +64,19 @@ class RunRecord:
         return final_forgetting(self.matrix)
 
 
-def load_splits(cfg):
-    """Load the configured dataset and split it into standardized
-    (train, test) sets with clean labels.
+def prepare_data(cfg, run_seed):
+    """Load the configured dataset, split it into standardized train and
+    test sets, and build the noisy train stream and clean per-task test
+    splits.
 
     Every class of a CSV dataset, 0 to its largest label, must have rows
     (checked before the split, whose work grows with the largest label)
     and test rows, and there must be at least two classes; a
     ``ParseError`` names the first class without rows or test rows, or the
-    file whose labels hold one class.
+    file whose labels hold one class. The dataset and the frozen noise
+    depend only on the dataset/noise seeds; the run seed controls batch
+    order, so runs with different seeds pair up on identical data. At
+    ``noise_rate`` 0 the train labels stay clean.
     """
     if cfg.dataset_kind == "csv":
         base = load_csv(cfg.dataset_path)
@@ -114,17 +103,6 @@ def load_splits(cfg):
                 f"{cfg.tasks} tasks")
         if cfg.standardize_features:
             train, test = standardize(train, test)
-    return train, test
-
-
-def prepare_data(cfg, run_seed):
-    """Build the noisy train stream and clean per-task test splits.
-
-    The dataset and the frozen noise depend only on the dataset/noise
-    seeds; the run seed controls batch order, so runs with different seeds
-    pair up on identical data.
-    """
-    train, test = load_splits(cfg)
     stream = split_tasks(train, cfg.tasks, run_seed, cfg.batch_size)
     noise_report = None
     if cfg.noise_rate > 0:
@@ -148,32 +126,36 @@ def _accuracy(model, features, labels, classes=None):
 def train_task(model, stream, buffer, cfg, spec, t, rngs):
     """One task of training; returns (traces, checkpoint_checks, hash_checks).
 
-    An alternating task of two or more epochs is ``frozen``: learning
-    epochs replay from a buffer they must leave unchanged (hash-checked)
-    and only forgetting epochs insert, after which the epoch-start
-    checkpoint is restored (checked bitwise). Any other task inserts in
-    every epoch. Replay is masked to the classes of tasks ``0..t``. An
-    inserting batch hands its candidate rows (the alpha-gated slice or the
-    whole batch) to the method's insertion policy in one call, before the
-    SGD step. LASS/ABS draw their victims by losses under the model that
-    outlives the step: in a forgetting epoch that is the checkpoint, so the
-    buffer is rescored once at the epoch start and the call gets no model;
-    otherwise the call rescores under the live model, which scored the batch.
-    Each epoch's trace carries its ``AUDIT_COLUMNS``: the rows handed to the
-    policy (``offered``, ``offered_clean``) and the buffer's ``counts``,
-    cleared at the epoch start. GDumb's stream model never trains, so its
+    An alternating task of two or more epochs is ``frozen``: its even
+    epochs learn, replaying from a buffer they must leave unchanged
+    (hash-checked), and only its odd epochs, which forget, insert, after
+    which the epoch-start checkpoint is restored (checked bitwise). Any
+    other task learns and inserts in every epoch; a single-epoch
+    alternating one warns that it cannot alternate. Replay is masked to
+    the classes of tasks ``0..t``. An inserting batch hands its candidate
+    rows (the alpha-gated slice or the whole batch) to the method's
+    insertion policy in one call, before the SGD step. LASS/ABS draw their
+    victims by losses under the model that outlives the step: in a
+    forgetting epoch that is the checkpoint, so the buffer is rescored
+    once at the epoch start and the call gets no model; otherwise the call
+    rescores under the live model, which scored the batch. Each epoch's
+    trace carries its ``AUDIT_COLUMNS`` from the buffer's ``counts``,
+    cleared at the epoch start: the buffer counts the rows its policy is
+    offered, writes and evicts. GDumb's stream model never trains, so its
     trace leaves the stream and buffer loss columns empty.
     """
     task_classes = stream.task_classes(t)
     seen_sorted = stream.seen_classes(t)
     epochs = cfg.epochs_per_task
     frozen = spec.alternate and epochs > 1
-    modes = alternation_schedule(epochs) if spec.alternate else ("learning",) * epochs
+    if spec.alternate and epochs == 1:
+        warnings.warn("single-epoch task: alternation impossible, "
+                      "running one learning epoch with buffer updates enabled")
     traces = []
     ckpt_checks = 0
     hash_checks = 0
-    for e, mode in enumerate(modes):
-        forgetting = mode == "forgetting"
+    for e in range(epochs):
+        forgetting = frozen and e % 2 == 1
         inserting = spec.policy is not None and (forgetting or not frozen)
         if forgetting:
             ckpt = save_checkpoint(model)
@@ -208,9 +190,6 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 else:
                     rows = np.arange(len(batch))
                 if len(rows):
-                    counts["offered"] += len(rows)
-                    counts["offered_clean"] += int(
-                        (batch.labels[rows] == batch.true_labels[rows]).sum())
                     cand = (buffer, batch.features[rows], batch.labels[rows],
                             batch.true_labels[rows], np.full(len(rows), t), losses[rows])
                     if spec.policy == "gdumb":
@@ -222,7 +201,7 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                                                 None if forgetting else model)
             if grads is not None:
                 model.apply_step(grads)
-        trace = {"task": t, "epoch": e, "mode": mode,
+        trace = {"task": t, "epoch": e, "mode": "forgetting" if forgetting else "learning",
                  "stream_loss": loss_sum / loss_count if loss_count else None,
                  "buffer_clean_loss": None, "buffer_noisy_loss": None,
                  "buffer_purity": None, **{c: counts[c] for c in AUDIT_COLUMNS}}
@@ -352,7 +331,7 @@ def _fit_joint(model, train, cfg, seed):
 
 def train_reference(cfg):
     """Train the clean joint reference model used by the diversity metric."""
-    train, _ = load_splits(cfg)
+    train = prepare_data(replace(cfg, noise_rate=0.0), cfg.dataset_seed).train
     model = MLP(train.dim, train.num_classes, cfg.hidden, cfg.lr, cfg.momentum,
                 seed=[cfg.dataset_seed, 927])
     _fit_joint(model, train, cfg, cfg.dataset_seed)

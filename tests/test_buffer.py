@@ -336,6 +336,26 @@ def test_every_buffer_policy_admits_the_same_rows():
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("insert", [
+    lambda b, *c: reservoir_update(b, *c, np.random.default_rng(0)),
+    lambda b, *c: gdumb_update(b, *c, np.random.default_rng(0)),
+    lambda b, *c: replace_with_candidates(b, *c, "lass", 1, np.random.default_rng(0)),
+    lambda b, *c: replace_with_candidates(b, *c, "abs", 1, np.random.default_rng(0)),
+], ids=["reservoir", "gdumb", "lass", "abs"])
+def test_every_insertion_policy_counts_the_rows_it_is_offered(insert):
+    """Each call adds every candidate row to ``offered`` and the correctly
+    labelled ones to ``offered_clean``, whether they are appended, written
+    over a victim or dropped."""
+    buf = MemoryBuffer(4, 1)
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    for start, stop in ((0, 3), (0, 6)):
+        n = stop - start
+        insert(buf, np.arange(n, dtype=float)[:, None], labels[start:stop],
+               np.array([0, 1, 0, 0, 2, 2])[start:stop], np.ones(n, dtype=np.intp),
+               np.ones(n))
+    assert (buf.counts["offered"], buf.counts["offered_clean"]) == (9, 6)
+
+
 @pytest.mark.parametrize("kind", BUFFER_KINDS)
 def test_abs_select_matches_reference_byte_for_byte(kind):
     rng = np.random.default_rng(200 + BUFFER_KINDS.index(kind))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from aer import consolidation as consolidation_mod
 from aer import engine
 from aer.buffer import MemoryBuffer
 from aer.config import RunConfig
-from aer.engine import (PRESETS, alternation_schedule, prepare_data,
-                        replay_batch, resolve_method, run_single, train_task)
-from aer.errors import ConfigError, InputError, NumericalError
+from aer.engine import (PRESETS, prepare_data, replay_batch, resolve_method,
+                        run_single, train_reference, train_task)
+from aer.errors import ConfigError, NumericalError
 from aer.mlp import MLP, per_sample_ce, save_checkpoint
 from aer.stream import Dataset, TaskStream, split_tasks
 
@@ -32,29 +33,28 @@ def make_rngs(seed=0):
                            consolidation=np.random.default_rng([seed, 3]))
 
 
-def test_schedule_e4_alternates():
-    assert alternation_schedule(4) == ("learning", "forgetting",
-                                       "learning", "forgetting")
-
-
-def test_schedule_e5_has_three_learning():
-    modes = alternation_schedule(5)
-    assert modes.count("learning") == 3
-    assert modes.count("forgetting") == 2
-    assert modes[0] == "learning"
-
-
-def test_schedule_balanced_counts():
-    for e in range(2, 12):
-        modes = alternation_schedule(e)
-        assert modes.count("learning") - modes.count("forgetting") in (0, 1)
-        assert all(a != b for a, b in zip(modes, modes[1:]))
-
-
-def test_schedule_single_epoch_degenerates_with_warning():
-    with pytest.warns(UserWarning):
-        modes = alternation_schedule(1)
-    assert modes == ("learning",)
+@pytest.mark.parametrize("epochs", range(1, 12))
+def test_alternating_task_modes_start_learning_and_alternate(epochs):
+    """An alternating task's trace modes start with learning and then
+    alternate strictly, so learning and forgetting epochs differ in number
+    by at most one; a single epoch warns once and runs one learning
+    epoch."""
+    cfg = tiny_cfg(epochs_per_task=epochs)
+    data = prepare_data(cfg, 0)
+    model = MLP(cfg.dims, cfg.classes, cfg.hidden, cfg.lr, seed=[0, 20])
+    buf = MemoryBuffer(cfg.buffer_capacity, cfg.dims)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traces, _, _ = train_task(model, data.stream, buf, cfg, PRESETS["aer_abs"],
+                                  0, make_rngs())
+    modes = [trace["mode"] for trace in traces]
+    assert len(modes) == epochs and modes[0] == "learning"
+    assert all(a != b for a, b in zip(modes, modes[1:]))
+    assert modes.count("learning") - modes.count("forgetting") in (0, 1)
+    messages = [str(w.message) for w in caught]
+    assert messages == (["single-epoch task: alternation impossible, running one "
+                         "learning epoch with buffer updates enabled"]
+                        if epochs == 1 else [])
 
 
 @pytest.mark.filterwarnings("ignore:single-epoch task")
@@ -74,11 +74,6 @@ def test_alternating_task_inserts_and_checks_by_epoch_count(epochs, ckpt_checks,
                                       PRESETS["aer_abs"], t, rngs)
         assert len(buf) > 0 and t in buf.task_ids[:buf.size]
         assert (ckpts, hashes) == (ckpt_checks, hash_checks)
-
-
-def test_schedule_zero_epochs_is_error():
-    with pytest.raises(InputError):
-        alternation_schedule(0)
 
 
 def filled_buffer(n, dim=3):
@@ -203,6 +198,15 @@ def test_true_labels_never_influence_training():
     honest = run_with_true_labels(data.train.labels_true.copy())
     poisoned = run_with_true_labels(np.zeros_like(data.train.labels_true))
     assert honest == poisoned
+
+
+def test_reference_model_trains_on_clean_labels():
+    """The reference model is the same whatever noise the run injects."""
+    cfgs = [tiny_cfg(noise_rate=0.0),
+            tiny_cfg(noise_kind="symmetric", noise_rate=0.3, noise_seed=1),
+            tiny_cfg(noise_kind="asymmetric", noise_rate=0.45, noise_seed=7)]
+    params = {save_checkpoint(train_reference(cfg)) for cfg in cfgs}
+    assert len(params) == 1
 
 
 def test_run_single_is_deterministic():
@@ -511,11 +515,10 @@ def test_forgetting_epochs_rescore_once_at_their_start(method, monkeypatch):
     monkeypatch.setattr(MemoryBuffer, "refresh_losses", refresh)
     monkeypatch.setattr(TaskStream, "batches", batches)
     cfg = tiny_cfg(method=method)
-    run_single(cfg, 0)
+    record = run_single(cfg, 0)
     spec = PRESETS[method]
-    modes = alternation_schedule(cfg.epochs_per_task)
-    forgetting = [(t, e) for t in range(cfg.tasks) for e, mode in enumerate(modes)
-                  if mode == "forgetting"]
+    forgetting = [(trace["task"], trace["epoch"]) for trace in record.traces
+                  if trace["mode"] == "forgetting"]
     refreshed = [events[i + 1] for i, ev in enumerate(events) if ev == "refresh"]
     assert refreshed == (forgetting[1:] if spec.policy in ("lass", "abs") else [])
 
