@@ -15,6 +15,8 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import PRESETS, config_hash, load_config, parse_option
 from .engine import run_single, train_reference
@@ -196,7 +198,10 @@ def main(argv=None):
     # the filters and the recording hooks stay as the caller set them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        return run_command(args)
+        # an overflow names no field or stage; the MLP's finiteness checks
+        # turn a diverging run into the numerical abort that does
+        with np.errstate(over="ignore"):
+            return run_command(args)
     except (ConfigError, InputError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -241,6 +241,8 @@ def load_config(path):
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path}: not UTF-8 text") from None
     except configparser.Error as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     values = {}

@@ -258,8 +258,13 @@ def save_csv(dataset, path):
 
 def load_csv(path):
     """Parse a ``f0..f{d-1},label`` file; errors carry the 1-based line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {lineno}: not UTF-8 text") from None
     if not lines:
         raise ParseError("line 1: empty file, expected a header row")
     header = [h.strip() for h in lines[0].split(",")]
@@ -285,7 +290,7 @@ def load_csv(path):
             lab = int(parts[-1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer label {parts[-1]!r}") from None
-        if lab < 0:
+        if not 0 <= lab <= np.iinfo(np.intp).max:
             raise ParseError(f"line {lineno}: unknown label {lab}")
         labels.append(lab)
     if not feats:

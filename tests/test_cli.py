@@ -113,6 +113,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "none.ini" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[run]\nmethod = er\xff\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: config file {cfg}: not UTF-8 text\n")
+
+
 def test_one_class_superclass_exits_2_naming_the_field(tiny_config, tmp_path, capsys):
     tiny_config.write_text(TINY.replace(
         "kind = symmetric", "kind = asymmetric\nsuperclasses = 0:0,1:1,2:1,3:1"))
@@ -130,6 +138,19 @@ def test_numerical_abort_exits_3_with_dump(tiny_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "state dump" in err
     assert (out / "abort_state_seed0" / "context.json").exists()
+
+
+def test_numerical_abort_prints_no_overflow_warning(tmp_path):
+    """A diverging run ends in the numerical abort alone: numpy's overflow
+    warnings, which name no field or stage, stay off stderr."""
+    (tmp_path / "explode.ini").write_text(TINY.replace("lr = 0.05", "lr = 1e12"))
+    env = dict(os.environ, PYTHONPATH=str(Path(aer.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "aer.cli", "run", "--config",
+                           "explode.ini", "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "overflow" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("numerical abort: ")
 
 
 def test_sweep_alpha_one_row_per_alpha(tiny_config, tmp_path):
@@ -373,7 +394,8 @@ def malformed_csvs(draw):
     """(csv text, expected exit code, text the message must contain)."""
     classes = draw(st.sampled_from([4, 5, 6]))
     rows = csv_rows(classes, 10, draw(st.integers(0, 99)))
-    fault = draw(st.sampled_from(["none", "cell", "ragged", "gap", "few", "one_class"]))
+    fault = draw(st.sampled_from(["none", "cell", "ragged", "gap", "few", "one_class",
+                                  "not_utf8", "huge_label"]))
     r = draw(st.integers(0, len(rows) - 1))
     # the run has 2 tasks: an odd class count is a config error, reported
     # after parse faults and classes without test rows
@@ -398,6 +420,13 @@ def malformed_csvs(draw):
     elif fault == "one_class":
         rows = [row.rsplit(",", 1)[0] + ",0" for row in rows]
         expect = (4, "data.csv: labels hold one class")
+    elif fault == "not_utf8":
+        # a lone 0xff byte once written with surrogateescape
+        rows[r] = rows[r].replace(",", ",\udcff", 1)
+        expect = (4, f"line {r + 2}: not UTF-8 text")
+    elif fault == "huge_label":
+        rows[r] = rows[r].rsplit(",", 1)[0] + ",99999999999999999999999"
+        expect = (4, f"line {r + 2}: unknown label 99999999999999999999999")
     return "f0,f1,label\n" + "\n".join(rows) + "\n", *expect
 
 
@@ -407,7 +436,7 @@ def malformed_csvs(draw):
 def test_malformed_csv_exits_4_naming_line_or_class(tmp_path, case):
     text, code, where = case
     data = tmp_path / "data.csv"
-    data.write_text(text)
+    data.write_bytes(text.encode("utf-8", "surrogateescape"))
     got, err = run_cli(tmp_path, kind="csv", path=f"path = {data}")
     assert got == code, err
     assert where in err

@@ -17,9 +17,9 @@ asymmetric noise over 2- and 5-class tasks, and reservoir/GDumb/ABS
 buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
 non-default value, ``abort`` (learning rate 100) diverges in its second
 task and exits 3, leaving a numerical-abort state dump (``model.ckpt``,
-``buffer.jsonl``, ``context.json``), and ``csv-gap`` reads a CSV without
-class 2 and exits 4. Each configuration declares the exit code it must
-end with.
+``buffer.jsonl``, ``context.json``), ``csv-gap`` reads a CSV without
+class 2 and ``csv-not-utf8`` one with a byte that is not UTF-8, and both
+exit 4. Each configuration declares the exit code it must end with.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -76,6 +76,9 @@ CONFIGS.update({
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
     # labels 0-9 without 2: a data error naming the class
     "csv-gap": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "gap.csv"}, 4),
+    # a 0xff byte on the third data line: a data error naming line 4
+    "csv-not-utf8": (["run"], {("dataset", "kind"): "csv",
+                               ("dataset", "path"): "not_utf8.csv"}, 4),
     "asymmetric": (["run"], {("noise", "kind"): "asymmetric"}, 0),
     # 5-class tasks: a symmetric flip draws among four options, and an
     # asymmetric one among the members of a 3+2 superclass split
@@ -122,6 +125,9 @@ def digest(name, command, overrides, expected_code):
         data = make_synthetic(10, 8, 60, 1.0, 5)
         save_csv(data, csv_path)
         save_csv(data.subset(data.labels_true != 2), Path("gap.csv"))
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        Path("not_utf8.csv").write_bytes(b"\n".join(lines))
     ini, out = Path(f"{name}.ini"), Path(name)
     _write_ini(ini, overrides)
     stdout, stderr = io.StringIO(), io.StringIO()
