@@ -273,6 +273,7 @@ def load_csv(path):
     if d < 1 or header != expected:
         raise ParseError(f"line 1: expected header f0..f{{d-1}},label, got {lines[0]!r}")
     feats, labels = [], []
+    max_label = np.iinfo(np.intp).max
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -290,7 +291,7 @@ def load_csv(path):
             lab = int(parts[-1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer label {parts[-1]!r}") from None
-        if not 0 <= lab <= np.iinfo(np.intp).max:
+        if not 0 <= lab <= max_label:
             raise ParseError(f"line {lineno}: unknown label {lab}")
         labels.append(lab)
     if not feats:
