@@ -33,6 +33,10 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .mlp import per_sample_ce
 
+# one ``dump_jsonl`` line: features, label, true label, task, loss, tick
+DUMP_LINE = ('{"features": %s, "label": %s, "true_label": %s, "task": %s, '
+             '"loss": %s, "tick": %s}\n')
+
 
 class MemoryBuffer:
     """Flat-array store of up to ``capacity`` labelled feature vectors.
@@ -64,12 +68,16 @@ class MemoryBuffer:
         self.n_seen = 0
         self._tick = 0
         self.counts = Counter()
+        self._feature_text = [None] * self.capacity
 
     def __len__(self):
         return self.size
 
     def _write(self, i, features, label, true_label, task_id, loss):
+        """Store one entry in slot ``i``; the only writer of ``features``,
+        so it also drops the slot's cached ``dump_jsonl`` feature text."""
         self.features[i] = features
+        self._feature_text[i] = None
         self.labels[i] = label
         self.true_labels[i] = true_label
         self.task_ids[i] = task_id
@@ -114,17 +122,24 @@ class MemoryBuffer:
         return h.hexdigest()
 
     def dump_jsonl(self, path):
-        """One JSON entry per line for offline purity audits."""
+        """One JSON entry per line for offline purity audits.
+
+        Each line is ``DUMP_LINE``: the keys in a fixed order, every
+        number as ``json.dumps`` encodes it (a non-finite loss reads
+        ``NaN``, ``Infinity`` or ``-Infinity``). A slot's feature text is
+        encoded at its first dump after a write and reused until the next.
+        """
+        n = self.size
+        texts = self._feature_text
+        for i in range(n):
+            if texts[i] is None:
+                texts[i] = json.dumps(self.features[i].tolist())
+        # one encoder call for every loss; no float's text holds ", "
+        losses = json.dumps(self.losses[:n].tolist())[1:-1].split(", ")
+        columns = (texts[:n], self.labels[:n].tolist(), self.true_labels[:n].tolist(),
+                   self.task_ids[:n].tolist(), losses, self.ticks[:n].tolist())
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(self.size):
-                fh.write(json.dumps({
-                    "features": self.features[i].tolist(),
-                    "label": int(self.labels[i]),
-                    "true_label": int(self.true_labels[i]),
-                    "task": int(self.task_ids[i]),
-                    "loss": float(self.losses[i]),
-                    "tick": int(self.ticks[i]),
-                }) + "\n")
+            fh.writelines(DUMP_LINE % row for row in zip(*columns))
 
 
 def _append(buffer, features, labels, true_labels, task_ids, losses):

@@ -172,9 +172,9 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
             else:
                 smask = task_classes if spec.ace else None
                 logits, cache = model.forward(batch.features, cache=True)
-                losses = per_sample_ce(logits, batch.labels, smask)
-                grads = model.backward(cache,
-                                       ce_gradient(logits, batch.labels, smask))
+                losses, dlogits = per_sample_ce(logits, batch.labels, smask,
+                                                gradient=True)
+                grads = model.backward(cache, dlogits)
                 if not forgetting and spec.policy is not None and len(buffer):
                     replay = replay_batch(buffer, cfg.batch_size, rngs.replay)
                     rmask = seen_sorted if spec.ace else None

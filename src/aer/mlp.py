@@ -152,9 +152,8 @@ class MLP:
     def train_step(self, features, labels, class_mask=None, lr=None):
         """Forward, per-sample CE, backward and SGD step; returns the losses."""
         logits, cache = self.forward(features, cache=True)
-        losses = per_sample_ce(logits, labels, class_mask)
-        grads = self.backward(cache, ce_gradient(logits, labels, class_mask))
-        self.apply_step(grads, lr=lr)
+        losses, dlogits = per_sample_ce(logits, labels, class_mask, gradient=True)
+        self.apply_step(self.backward(cache, dlogits), lr=lr)
         return losses
 
 
@@ -207,28 +206,50 @@ def _checked_ce_inputs(logits, labels, class_mask):
     return logits, labels, cols
 
 
-def per_sample_ce(logits, labels, class_mask=None):
+def _masked_ce(logits, labels, class_mask, loss=True, gradient=True):
+    """``(losses, grad)`` of the masked CE, each None unless asked for.
+
+    One masked softmax stage serves both: the columns ``logits[:, cols]``
+    are gathered once, and one ``exp`` and one row sum give the loss
+    ``peak + log(sum) - logit[label]`` and the probabilities ``exp / sum``.
+    """
+    logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
+    # ``logits[:, cols]`` is the fancy-index copy even without a mask: its
+    # memory layout fixes the rounding of the row sums
+    sub = logits[:, cols]
+    peak = sub.max(axis=1, keepdims=True)
+    expd = np.exp(sub - peak)
+    total = expd.sum(axis=1, keepdims=True)
+    rows = np.arange(len(labels))
+    losses = grad = None
+    if loss:
+        lse = peak[:, 0] + np.log(total[:, 0])
+        losses = np.maximum(lse - logits[rows, labels], 0.0)
+    if gradient:
+        grad = np.zeros_like(logits)
+        grad[:, cols] = expd / total
+        grad[rows, labels] -= 1.0
+        grad /= len(labels)
+    return losses, grad
+
+
+def per_sample_ce(logits, labels, class_mask=None, gradient=False):
     """Per-sample cross-entropy, optionally restricted to a class mask.
 
     With a mask, the softmax runs over the masked classes only and the
     loss is undefined (an error) for labels outside the mask. Losses are
-    clamped at 0 to absorb float cancellation.
+    clamped at 0 to absorb float cancellation. With ``gradient=True`` the
+    result is ``(losses, ce_gradient(...))`` from one masked softmax, byte
+    for byte what the two separate calls return.
     """
-    logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
-    # ``logits[:, cols]`` is the fancy-index copy even without a mask: its
-    # memory layout fixes the rounding of the row sums in ``logsumexp``
-    lse = logsumexp(logits[:, cols])
-    return np.maximum(lse - logits[np.arange(len(labels)), labels], 0.0)
+    losses, grad = _masked_ce(logits, labels, class_mask, gradient=gradient)
+    return (losses, grad) if gradient else losses
 
 
 def ce_gradient(logits, labels, class_mask=None):
     """Gradient of the batch-mean CE w.r.t. logits; exactly 0 outside the
     mask. Labels are checked as in ``per_sample_ce``."""
-    logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
-    grad = np.zeros_like(logits)
-    grad[:, cols] = softmax(logits[:, cols])
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return grad / len(labels)
+    return _masked_ce(logits, labels, class_mask, loss=False)[1]
 
 
 def softmax(logits):

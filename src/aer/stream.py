@@ -263,7 +263,9 @@ def load_csv(path):
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
+        # numbered as ``splitlines`` numbers the other errors' lines; the
+        # sentinel opens the bad byte's line after a closing line break
+        lineno = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"line {lineno}: not UTF-8 text") from None
     if not lines:
         raise ParseError("line 1: empty file, expected a header row")

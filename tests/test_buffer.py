@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -575,6 +576,78 @@ def test_dump_jsonl_roundtrip(tmp_path):
     assert len(lines) == 2
     assert lines[1]["loss"] == 0.5
     assert lines[1]["features"] == [1.0, 1.0]
+
+
+def reference_dump(buf):
+    """``dump_jsonl``'s text as first written: one ``json.dumps`` of a
+    dict per entry."""
+    import json
+    return "".join(json.dumps({
+        "features": buf.features[i].tolist(),
+        "label": int(buf.labels[i]),
+        "true_label": int(buf.true_labels[i]),
+        "task": int(buf.task_ids[i]),
+        "loss": float(buf.losses[i]),
+        "tick": int(buf.ticks[i]),
+    }) + "\n" for i in range(buf.size))
+
+
+def random_rows(rng, n, dim):
+    """n candidate rows whose features and losses span many magnitudes."""
+    scale = 10.0 ** rng.integers(-8, 9, size=(n, 1))
+    return (rng.standard_normal((n, dim)) * scale, rng.integers(0, 10, n),
+            rng.integers(0, 10, n), rng.integers(0, 5, n),
+            rng.exponential(size=n) * 10.0 ** rng.integers(-5, 5, size=n))
+
+
+def assert_dump_matches_reference(buf, path):
+    buf.dump_jsonl(path)
+    assert path.read_bytes() == reference_dump(buf).encode("utf-8")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dump_jsonl_bytes_match_per_row_json_dumps(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 20))
+    buf = MemoryBuffer(int(rng.integers(1, 60)), dim)
+    reservoir_update(buf, *random_rows(rng, 2 * buf.capacity, dim), rng)
+    buf.losses[:buf.size] = rng.standard_normal(buf.size) * 1e3
+    assert_dump_matches_reference(buf, tmp_path / "buffer.jsonl")
+
+
+def test_dump_jsonl_reencodes_rows_written_between_dumps(tmp_path):
+    rng = np.random.default_rng(3)
+    buf = MemoryBuffer(8, 3)
+    path = tmp_path / "buffer.jsonl"
+    features, labels, true_labels, tasks, losses = random_rows(rng, 8, 3)
+    for i in range(5):
+        buf.add(features[i], labels[i], true_labels[i], tasks[i], losses[i])
+    assert_dump_matches_reference(buf, path)
+    buf.overwrite(2, features[5], labels[5], true_labels[5], tasks[5], losses[5])
+    buf.add(features[6], labels[6], true_labels[6], tasks[6], losses[6])
+    buf.losses[0] = 7.5  # a rescore changes the loss, not the feature text
+    assert_dump_matches_reference(buf, path)
+    replace_with_candidates(buf, *random_rows(rng, 6, 3), "lass", 1, rng)
+    assert_dump_matches_reference(buf, path)
+    assert_dump_matches_reference(buf, path)  # every row cached
+
+
+@pytest.mark.parametrize("size", [0, 1, 4])
+def test_dump_jsonl_of_a_partly_filled_buffer(tmp_path, size):
+    buf = MemoryBuffer(6, 2)
+    for i in range(size):
+        buf.add(np.array([0.1 * i, -3.0]), i, i % 2, 0, 1.0 / (i + 3))
+    assert_dump_matches_reference(buf, tmp_path / "buffer.jsonl")
+    assert len((tmp_path / "buffer.jsonl").read_text().splitlines()) == size
+
+
+def test_dump_jsonl_keeps_json_names_for_non_finite_losses(tmp_path):
+    buf = filled_buffer([math.nan, math.inf, -math.inf, -0.0, 1e-300])
+    path = tmp_path / "buffer.jsonl"
+    assert_dump_matches_reference(buf, path)
+    losses = [line.split('"loss": ')[1].split(",")[0]
+              for line in path.read_text().splitlines()]
+    assert losses == ["NaN", "Infinity", "-Infinity", "-0.0", "1e-300"]
 
 
 def test_abs_buffer_more_diverse_than_lass_on_benchmark(bench):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -404,6 +405,27 @@ def test_train_steps_are_byte_identical_to_reference(n, momentum):
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("n", [1, 32, 500])
+def test_train_step_matches_the_unfused_loss_and_gradient(n, momentum):
+    """``train_step``'s one masked-CE call leaves the parameter bytes and
+    returns the losses of a step built from ``per_sample_ce`` and
+    ``ce_gradient`` called separately."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 6))
+    labels = rng.integers(0, 5, size=n)
+    fused, unfused = (MLP(6, 5, hidden=(16, 8), lr=0.05, momentum=momentum, seed=n)
+                      for _ in range(2))
+    for step in range(6):
+        mask, y, lr = ([3, 1, 2], labels % 3 + 1, 0.02) if step % 2 else (None, labels, None)
+        losses = fused.train_step(x, y, mask, lr)
+        logits, cache = unfused.forward(x, cache=True)
+        ref_losses = per_sample_ce(logits, y, mask)
+        unfused.apply_step(unfused.backward(cache, ce_gradient(logits, y, mask)), lr=lr)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert save_checkpoint(fused) == save_checkpoint(unfused)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_restore_writes_into_the_flat_vectors(momentum):
     """After a restore every per-tensor list still views ``params`` or
     ``velocity``, and training continues as the reference does."""
@@ -487,11 +509,14 @@ def test_masked_ce_is_byte_identical_to_reference(mask, n):
     cols = np.arange(10) if mask is None else np.array(sorted(mask))
     labels = cols[rng.integers(0, len(cols), size=n)]
     for layout in (logits, np.ascontiguousarray(logits), np.asfortranarray(logits)):
+        ref_losses = reference_per_sample_ce(layout, labels, mask).tobytes()
+        ref_grad = reference_ce_gradient(layout, labels, mask).tobytes()
         for _ in range(2):  # the second call reads the memoised columns
-            assert (per_sample_ce(layout, labels, mask).tobytes()
-                    == reference_per_sample_ce(layout, labels, mask).tobytes())
-            assert (ce_gradient(layout, labels, mask).tobytes()
-                    == reference_ce_gradient(layout, labels, mask).tobytes())
+            assert per_sample_ce(layout, labels, mask).tobytes() == ref_losses
+            assert ce_gradient(layout, labels, mask).tobytes() == ref_grad
+            losses, grad = per_sample_ce(layout, labels, mask, gradient=True)
+            assert losses.tobytes() == ref_losses
+            assert grad.tobytes() == ref_grad
 
 
 def test_mask_memo_follows_a_mutated_list():
@@ -516,12 +541,14 @@ def test_mask_memo_follows_a_mutated_list():
     ([-1, 0], None),
 ])
 def test_mask_and_label_errors_match_reference(labels, mask):
-    """``ce_gradient`` rejects the labels ``per_sample_ce`` rejects, with
-    the same message, rather than indexing a column outside the mask."""
+    """``ce_gradient`` and the fused loss+gradient call reject the labels
+    ``per_sample_ce`` rejects, with the same message, rather than indexing
+    a column outside the mask."""
     logits = np.zeros((len(labels), 5))
     with pytest.raises(InputError) as ref:
         reference_per_sample_ce(logits, labels, mask)
-    for fn in (per_sample_ce, ce_gradient) * 2:  # a failing mask is not memoised
+    fused = functools.partial(per_sample_ce, gradient=True)
+    for fn in (per_sample_ce, ce_gradient, fused) * 2:  # a failing mask is not memoised
         with pytest.raises(InputError) as fast:
             fn(logits, labels, mask)
         assert str(fast.value) == str(ref.value)

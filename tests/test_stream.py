@@ -437,6 +437,24 @@ def test_csv_unknown_label_error(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("raw, line", [
+    (b"f0,f1,label\r0.1,0.2,0\r0.3,\xff,1\r", 3),          # \r-only line breaks
+    (b"f0,f1,label\r\n0.1,0.2,0\r\n0.3,\xff,1\r\n", 3),   # one break per \r\n
+    (b"f0,f1,label\n0.1,\x0c0.2,0\n0.3,\xff,1\n", 4),      # a form feed splits a row
+    (b"f0,f1,label\r\xff", 2),                             # bad byte after a break
+    (b"\xff", 1),
+], ids=["cr", "crlf", "form-feed", "after-break", "first-byte"])
+def test_csv_not_utf8_line_is_numbered_as_splitlines(tmp_path, raw, line):
+    """The not-UTF-8 error numbers lines as every other ``ParseError``
+    does: the ``str.splitlines`` line that holds the bad byte."""
+    lines = raw.decode("utf-8", "replace").splitlines()
+    assert next(i for i, text in enumerate(lines, 1) if "\ufffd" in text) == line
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text$"):
+        load_csv(path)
+
+
 def test_csv_bad_header_is_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0.1,1.0,0\n")
