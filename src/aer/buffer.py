@@ -58,7 +58,9 @@ class MemoryBuffer:
             raise InputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.dim = int(dim)
-        self.features = np.zeros((self.capacity, self.dim))
+        self._features = np.zeros((self.capacity, self.dim))
+        self.features = self._features.view()  # read-only: writes go through _write
+        self.features.flags.writeable = False
         self.labels = np.zeros(self.capacity, dtype=np.intp)
         self.true_labels = np.zeros(self.capacity, dtype=np.intp)
         self.task_ids = np.full(self.capacity, -1, dtype=np.intp)
@@ -76,7 +78,7 @@ class MemoryBuffer:
     def _write(self, i, features, label, true_label, task_id, loss):
         """Store one entry in slot ``i``; the only writer of ``features``,
         so it also drops the slot's cached ``dump_jsonl`` feature text."""
-        self.features[i] = features
+        self._features[i] = features
         self._feature_text[i] = None
         self.labels[i] = label
         self.true_labels[i] = true_label

@@ -630,6 +630,8 @@ def test_dump_jsonl_reencodes_rows_written_between_dumps(tmp_path):
     replace_with_candidates(buf, *random_rows(rng, 6, 3), "lass", 1, rng)
     assert_dump_matches_reference(buf, path)
     assert_dump_matches_reference(buf, path)  # every row cached
+    with pytest.raises(ValueError, match="read-only"):
+        buf.features[0] = 1.0  # a write that skips ``_write`` would go stale
 
 
 @pytest.mark.parametrize("size", [0, 1, 4])
