@@ -116,11 +116,9 @@ class MemoryBuffer:
         """
         h = hashlib.sha256()
         h.update(str(self.size).encode())
-        h.update(np.ascontiguousarray(self.features[:self.size]).tobytes())
-        h.update(np.ascontiguousarray(self.labels[:self.size]).tobytes())
-        h.update(np.ascontiguousarray(self.true_labels[:self.size]).tobytes())
-        h.update(np.ascontiguousarray(self.task_ids[:self.size]).tobytes())
-        h.update(np.ascontiguousarray(self.ticks[:self.size]).tobytes())
+        for column in (self.features, self.labels, self.true_labels, self.task_ids,
+                       self.ticks):
+            h.update(column[:self.size].tobytes())
         return h.hexdigest()
 
     def dump_jsonl(self, path):
@@ -191,10 +189,7 @@ def insertion_candidates(losses, alpha):
     losses = np.asarray(losses, dtype=np.float64)
     n = len(losses)
     k = int(math.floor((100.0 - alpha) / 100.0 * n + 1e-9))
-    if k <= 0:
-        return np.empty(0, dtype=np.intp)
-    order = np.argsort(losses, kind="stable")
-    return order[:k]
+    return np.argsort(losses, kind="stable")[:k]
 
 
 def _score_probabilities(scores):

@@ -98,19 +98,17 @@ def _run_variants(cfg, variants, out_dir):
     for label, vcfg in variants:
         vdir = out_dir if len(variants) == 1 else out_dir / label
         vdir.mkdir(parents=True, exist_ok=True)
-
-        def hook_factory(seed, _vdir=vdir):
-            def hook(task, model, buffer):
-                if buffer is not None and len(buffer):
-                    path = _vdir / f"buffer_task{task}_seed{seed}.jsonl"
-                    buffer.dump_jsonl(path)
-                    outputs.append(path)
-            return hook
-
         records = []
         for seed in vcfg.seeds:
+            # called only inside this iteration's run_single
+            def dump_buffer(task, model, buffer):
+                if buffer is not None and len(buffer):
+                    path = vdir / f"buffer_task{task}_seed{seed}.jsonl"
+                    buffer.dump_jsonl(path)
+                    outputs.append(path)
+
             rec = run_single(vcfg, seed, reference_model=reference,
-                             on_task_end=hook_factory(seed), dump_dir=vdir)
+                             on_task_end=dump_buffer, dump_dir=vdir)
             records.append(rec)
             tpath = vdir / f"trace_seed{seed}.csv"
             write_trace_csv(rec.traces, tpath)
@@ -198,9 +196,9 @@ def main(argv=None):
     # the filters and the recording hooks stay as the caller set them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        # an overflow names no field or stage; the MLP's finiteness checks
-        # turn a diverging run into the numerical abort that does
-        with np.errstate(over="ignore"):
+        # an overflow or invalid value names no field or stage; the MLP's
+        # finiteness checks turn a diverging run into the numerical abort that does
+        with np.errstate(over="ignore", invalid="ignore"):
             return run_command(args)
     except (ConfigError, InputError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -48,12 +48,6 @@ class MethodSpec:
             raise ConfigError(f"policy: must be one of {', '.join(map(str, POLICIES))}, "
                               f"got {self.policy!r}")
 
-    @property
-    def consolidates(self):
-        """Whether end-of-task consolidation has a rehearsal buffer to refit;
-        GDumb's buffer only feeds its own per-task fit."""
-        return self.policy not in (None, "gdumb")
-
 
 PRESETS = {spec.label: spec for spec in (
     MethodSpec("finetune", policy=None),
@@ -160,7 +154,9 @@ class RunConfig:
             bad("run.seeds", f"must be distinct, got {list(self.seeds)}")
         if any(h < 1 for h in self.hidden):
             bad("run.hidden", f"each width must be >= 1, got {list(self.hidden)}")
-        if self.consolidation != "none" and not PRESETS[self.method].consolidates:
+        # consolidation refits a rehearsal buffer; GDumb's buffer only feeds
+        # its own per-task fit
+        if self.consolidation != "none" and PRESETS[self.method].policy in (None, "gdumb"):
             bad("run.consolidation",
                 f"{self.method} has no rehearsal buffer to consolidate")
         if self.dataset_kind == "csv" and not self.dataset_path:

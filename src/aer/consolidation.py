@@ -32,13 +32,10 @@ class GmmFit:
     log_likelihoods: list = field(default_factory=list)
 
 
-def _log_normal_pdf(x, mean, var):
-    return -0.5 * (np.log(2.0 * math.pi * var) + (x - mean) ** 2 / var)
-
-
 def _responsibilities(x, means, variances, weights):
-    logp = np.stack([np.log(weights[k]) + _log_normal_pdf(x, means[k], variances[k])
-                     for k in range(2)], axis=1)
+    # log weight + log normal density, one column per component
+    logp = np.log(weights) - 0.5 * (np.log(2.0 * math.pi * variances)
+                                    + (x[:, None] - means) ** 2 / variances)
     norm = logsumexp(logp)
     return np.exp(logp - norm[:, None]), float(norm.sum())
 

@@ -69,22 +69,16 @@ def prepare_data(cfg, run_seed):
     test sets, and build the noisy train stream and clean per-task test
     splits.
 
-    Every class of a CSV dataset, 0 to its largest label, must have rows
-    (checked before the split, whose work grows with the largest label)
-    and test rows, and there must be at least two classes; a
-    ``ParseError`` names the first class without rows or test rows, or the
-    file whose labels hold one class. The dataset and the frozen noise
+    Every class of a CSV dataset (``load_csv`` checks that each has rows)
+    must have test rows, and there must be at least two classes; a
+    ``ParseError`` names the first class without test rows, or the file
+    whose labels hold one class. The dataset and the frozen noise
     depend only on the dataset/noise seeds; the run seed controls batch
     order, so runs with different seeds pair up on identical data. At
     ``noise_rate`` 0 the train labels stay clean.
     """
     if cfg.dataset_kind == "csv":
         base = load_csv(cfg.dataset_path)
-        # sorted labels after a -1 sentinel: a step above 1 skips a class
-        labels = np.concatenate(([-1], np.sort(base.labels_true)))
-        skip = np.flatnonzero(np.diff(labels) > 1)
-        if len(skip):
-            raise ParseError(f"{cfg.dataset_path}: class {labels[skip[0]] + 1} has no rows")
     else:
         base = make_synthetic(cfg.classes, cfg.dims, cfg.per_class,
                               cfg.cluster_spread, cfg.dataset_seed)
@@ -167,23 +161,21 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
         counts.clear()
         loss_sum, loss_count = 0.0, 0
         for batch in stream.batches(t, e):
-            if spec.policy == "gdumb":
-                losses, grads = np.zeros(len(batch)), None  # trains on its buffer only
-            else:
-                smask = task_classes if spec.ace else None
-                logits, cache = model.forward(batch.features, cache=True)
-                losses, dlogits = per_sample_ce(logits, batch.labels, smask,
-                                                gradient=True)
-                grads = model.backward(cache, dlogits)
-                if not forgetting and spec.policy is not None and len(buffer):
-                    replay = replay_batch(buffer, cfg.batch_size, rngs.replay)
-                    rmask = seen_sorted if spec.ace else None
-                    rlogits, rcache = model.forward(replay.features, cache=True)
-                    rgrads = model.backward(
-                        rcache, ce_gradient(rlogits, replay.labels, rmask))
-                    grads += rgrads
-                loss_sum += float(losses.sum())
-                loss_count += len(losses)
+            if spec.policy == "gdumb":  # trains on its buffer only
+                gdumb_update(buffer, batch.features, batch.labels, batch.true_labels,
+                             np.full(len(batch), t), np.zeros(len(batch)), rngs.buffer)
+                continue
+            smask = task_classes if spec.ace else None
+            logits, cache = model.forward(batch.features, cache=True)
+            losses, dlogits = per_sample_ce(logits, batch.labels, smask, gradient=True)
+            grads = model.backward(cache, dlogits)
+            if not forgetting and spec.policy is not None and len(buffer):
+                replay = replay_batch(buffer, cfg.batch_size, rngs.replay)
+                rmask = seen_sorted if spec.ace else None
+                rlogits, rcache = model.forward(replay.features, cache=True)
+                grads += model.backward(rcache, ce_gradient(rlogits, replay.labels, rmask))
+            loss_sum += float(losses.sum())
+            loss_count += len(losses)
             if inserting:
                 if spec.alpha_gate:
                     rows = insertion_candidates(losses, cfg.alpha)
@@ -192,15 +184,12 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 if len(rows):
                     cand = (buffer, batch.features[rows], batch.labels[rows],
                             batch.true_labels[rows], np.full(len(rows), t), losses[rows])
-                    if spec.policy == "gdumb":
-                        gdumb_update(*cand, rngs.buffer)
-                    elif spec.policy == "reservoir":
+                    if spec.policy == "reservoir":
                         reservoir_update(*cand, rngs.buffer)
                     else:
                         replace_with_candidates(*cand, spec.policy, t, rngs.buffer,
                                                 None if forgetting else model)
-            if grads is not None:
-                model.apply_step(grads)
+            model.apply_step(grads)
         trace = {"task": t, "epoch": e, "mode": "forgetting" if forgetting else "learning",
                  "stream_loss": loss_sum / loss_count if loss_count else None,
                  "buffer_clean_loss": None, "buffer_noisy_loss": None,
@@ -263,10 +252,10 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
     model = MLP(data.train.dim, data.train.num_classes, cfg.hidden, cfg.lr,
                 cfg.momentum, seed=[seed, 20])
     t_count = cfg.tasks
+    record.matrix = AccuracyMatrix(t_count)
 
     if spec.joint:
         record.traces = _fit_joint(model, data.train, cfg, seed)
-        record.matrix = AccuracyMatrix(t_count)
         per_task = [_accuracy(model, x, y) for x, y in data.test_sets]
         for j in range(t_count):
             for t in range(j, t_count):
@@ -281,7 +270,6 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
                            consolidation=np.random.default_rng([seed, 23]))
     buffer = (MemoryBuffer(cfg.buffer_capacity, data.train.dim)
               if spec.policy is not None else None)
-    record.matrix = AccuracyMatrix(t_count)
     for t in range(t_count):
         try:
             traces, ckpts, hashes = train_task(model, data.stream, buffer, cfg,

@@ -257,7 +257,8 @@ def save_csv(dataset, path):
 
 
 def load_csv(path):
-    """Parse a ``f0..f{d-1},label`` file; errors carry the 1-based line number."""
+    """Parse a ``f0..f{d-1},label`` file of classes 0 to its largest label;
+    errors carry the 1-based line number, or name a class without rows."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -299,16 +300,18 @@ def load_csv(path):
     if not feats:
         raise ParseError("line 2: no data rows")
     labels = np.array(labels, dtype=np.intp)
+    # sorted labels after a -1 sentinel: a step above 1 skips a class
+    ordered = np.concatenate(([-1], np.sort(labels)))
+    skip = np.flatnonzero(np.diff(ordered) > 1)
+    if len(skip):
+        raise ParseError(f"{path}: class {ordered[skip[0]] + 1} has no rows")
     return Dataset(np.array(feats, dtype=np.float64), labels, labels.copy(),
                    int(labels.max()) + 1)
 
 
-def standardize(train, *others):
+def standardize(train, test):
     """Per-feature standardization with statistics fitted on the train split."""
     mean = train.features.mean(axis=0)
     std = np.maximum(train.features.std(axis=0), 1e-12)
-    out = []
-    for ds in (train, *others):
-        out.append(Dataset((ds.features - mean) / std, ds.labels_true.copy(),
-                           ds.labels_noisy.copy(), ds.num_classes))
-    return out if len(out) > 1 else out[0]
+    return [Dataset((ds.features - mean) / std, ds.labels_true.copy(),
+                    ds.labels_noisy.copy(), ds.num_classes) for ds in (train, test)]

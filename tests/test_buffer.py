@@ -65,7 +65,9 @@ def test_candidates_alpha0_keeps_all():
 
 
 def test_candidates_alpha100_keeps_none():
-    assert insertion_candidates(np.array([3.0, 1.0, 2.0]), 100).size == 0
+    idx = insertion_candidates(np.array([3.0, 1.0, 2.0]), 100)
+    assert idx.size == 0
+    assert idx.dtype == np.intp
 
 
 def test_candidates_32_at_75_gives_8():

@@ -153,6 +153,23 @@ def test_numerical_abort_prints_no_overflow_warning(tmp_path):
     assert proc.stderr.splitlines()[-1].startswith("numerical abort: ")
 
 
+def test_numerical_abort_prints_no_invalid_value_warning(tmp_path):
+    """A run whose matmuls meet invalid values (NaN from inf - inf) ends in
+    the numerical abort alone, as an overflowing one does."""
+    (tmp_path / "nan.ini").write_text(
+        "[run]\nmethod = aer_abs\nlr = 1e6\nbatch_size = 16\nepochs_per_task = 4\n"
+        "buffer_capacity = 100\nseeds = 0,1\n"
+        "[dataset]\nclasses = 10\ndims = 8\nper_class = 60\ntasks = 5\n"
+        "[noise]\nkind = symmetric\nrate = 0.4\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(aer.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "aer.cli", "run", "--config",
+                           "nan.ini", "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "encountered" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("numerical abort: ")
+
+
 def test_sweep_alpha_one_row_per_alpha(tiny_config, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep-alpha", "--config", str(tiny_config),

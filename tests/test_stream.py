@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -453,6 +455,22 @@ def test_csv_not_utf8_line_is_numbered_as_splitlines(tmp_path, raw, line):
     path.write_bytes(raw)
     with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text$"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 3), (0, 1, 10**12)], ids=["3", "10**12"])
+def test_csv_label_gap_names_the_first_class_without_rows(tmp_path, labels):
+    """``load_csv`` numbers the classes 0 to the largest label, so it names a
+    skipped one; a far label allocates nothing label-sized."""
+    path = tmp_path / "gap.csv"
+    path.write_text("f0,label\n" + "".join(f"0.5,{lab}\n" for lab in labels))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: class 2 has no rows$"):
+            load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_csv_bad_header_is_error(tmp_path):

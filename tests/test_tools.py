@@ -34,7 +34,7 @@ def test_unreached_lines_lists_lines_two_configurations_never_run():
     # and single-epoch alternation warns through the CLI's formatter, since
     # the digests show every warning
     assert 'buffer.dump_jsonl(dump / "buffer.jsonl")' in unreached
-    assert "gdumb_update(*cand, rngs.buffer)" in unreached
+    assert "gdumb_update(buffer, batch.features, batch.labels, batch.true_labels," in unreached
     assert "spec = resolve_method(cfg.validate().method)" not in unreached
     assert 'return f"warning: {message}\\n"' not in unreached
     assert re.fullmatch(rf"{len(lines)} of \d+ executable lines unreached\n", proc.stderr)

@@ -17,7 +17,8 @@ asymmetric noise over 2- and 5-class tasks, and reservoir/GDumb/ABS
 buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
 non-default value, ``abort`` (learning rate 100) diverges in its second
 task and exits 3, leaving a numerical-abort state dump (``model.ckpt``,
-``buffer.jsonl``, ``context.json``), ``csv-gap`` reads a CSV without
+``buffer.jsonl``, ``context.json``), as ``abort-invalid`` (learning rate
+1e6, whose matmuls meet invalid values) does; ``csv-gap`` reads a CSV without
 class 2 and ``csv-not-utf8`` one with a byte that is not UTF-8, and both
 exit 4. Each configuration declares the exit code it must end with.
 
@@ -105,6 +106,8 @@ CONFIGS.update({
         ("consolidation", "threshold"): "0.6", ("consolidation", "num_augments"): "2",
         ("consolidation", "augment_strength"): "0.2"}, 0),
     "abort": (["run"], {("run", "lr"): "100"}, 3),
+    # diverges to NaN: an invalid value in a matmul, then the numerical abort
+    "abort-invalid": (["run"], {("run", "lr"): "1e6"}, 3),
 })
 
 
