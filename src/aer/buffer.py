@@ -41,6 +41,10 @@ DUMP_LINE = ('{"features": %s, "label": %s, "true_label": %s, "task": %s, '
 class MemoryBuffer:
     """Flat-array store of up to ``capacity`` labelled feature vectors.
 
+    Its columns (``features``, read-only, ``labels``, ``true_labels``,
+    ``task_ids``, ``losses``, ``ticks``) are the held entries: length-``size``
+    views of private storage that ``add`` re-points, so a column read before
+    an ``add`` does not see the new entry.
     Cached per-sample losses back every score-based selection; LASS/ABS
     refresh them in each step that draws a victim (``replace_with_candidates``)
     or, in a forgetting epoch, once at its start (``engine.train_task``).
@@ -59,32 +63,37 @@ class MemoryBuffer:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self._features = np.zeros((self.capacity, self.dim))
-        self.features = self._features.view()  # read-only: writes go through _write
-        self.features.flags.writeable = False
-        self.labels = np.zeros(self.capacity, dtype=np.intp)
-        self.true_labels = np.zeros(self.capacity, dtype=np.intp)
-        self.task_ids = np.full(self.capacity, -1, dtype=np.intp)
-        self.losses = np.zeros(self.capacity)
-        self.ticks = np.zeros(self.capacity, dtype=np.int64)
-        self.size = 0
-        self.n_seen = 0
-        self._tick = 0
+        self._labels, self._true_labels, self._task_ids = (
+            np.zeros(self.capacity, dtype=np.intp) for _ in range(3))
+        self._losses = np.zeros(self.capacity)
+        self._ticks = np.zeros(self.capacity, dtype=np.int64)
+        self.size = self.n_seen = self._tick = 0
         self.counts = Counter()
         self._feature_text = [None] * self.capacity
+        self._view_held()
 
     def __len__(self):
         return self.size
+
+    def _view_held(self):
+        """Point the public columns at the first ``size`` slots."""
+        n = self.size
+        self.features = self._features[:n]  # read-only: writes go through _write
+        self.features.flags.writeable = False
+        self.labels, self.true_labels, self.task_ids, self.losses, self.ticks = (
+            self._labels[:n], self._true_labels[:n], self._task_ids[:n],
+            self._losses[:n], self._ticks[:n])
 
     def _write(self, i, features, label, true_label, task_id, loss):
         """Store one entry in slot ``i``; the only writer of ``features``,
         so it also drops the slot's cached ``dump_jsonl`` feature text."""
         self._features[i] = features
         self._feature_text[i] = None
-        self.labels[i] = label
-        self.true_labels[i] = true_label
-        self.task_ids[i] = task_id
-        self.losses[i] = loss
-        self.ticks[i] = self._tick
+        self._labels[i] = label
+        self._true_labels[i] = true_label
+        self._task_ids[i] = task_id
+        self._losses[i] = loss
+        self._ticks[i] = self._tick
         self._tick += 1
         self.counts["written"] += 1
         self.counts["written_clean"] += int(label == true_label)
@@ -94,6 +103,7 @@ class MemoryBuffer:
             raise InputError("buffer full; use a replacement policy")
         self._write(self.size, features, label, true_label, task_id, loss)
         self.size += 1
+        self._view_held()
 
     def overwrite(self, i, features, label, true_label, task_id, loss):
         if not 0 <= i < self.size:
@@ -105,9 +115,7 @@ class MemoryBuffer:
 
     def refresh_losses(self, model, n=None):
         """Recompute the cached losses of the first n (default all) entries."""
-        n = self.size if n is None else n
-        logits = model.forward(self.features[:n])
-        self.losses[:n] = per_sample_ce(logits, self.labels[:n])
+        self.losses[:n] = per_sample_ce(model.forward(self.features[:n]), self.labels[:n])
 
     def content_hash(self):
         """Digest of entry identities (features, labels, tasks, ticks).
@@ -118,7 +126,7 @@ class MemoryBuffer:
         h.update(str(self.size).encode())
         for column in (self.features, self.labels, self.true_labels, self.task_ids,
                        self.ticks):
-            h.update(column[:self.size].tobytes())
+            h.update(column.tobytes())
         return h.hexdigest()
 
     def dump_jsonl(self, path):
@@ -129,15 +137,14 @@ class MemoryBuffer:
         ``NaN``, ``Infinity`` or ``-Infinity``). A slot's feature text is
         encoded at its first dump after a write and reused until the next.
         """
-        n = self.size
         texts = self._feature_text
-        for i in range(n):
+        for i, row in enumerate(self.features):
             if texts[i] is None:
-                texts[i] = json.dumps(self.features[i].tolist())
+                texts[i] = json.dumps(row.tolist())
         # one encoder call for every loss; no float's text holds ", "
-        losses = json.dumps(self.losses[:n].tolist())[1:-1].split(", ")
-        columns = (texts[:n], self.labels[:n].tolist(), self.true_labels[:n].tolist(),
-                   self.task_ids[:n].tolist(), losses, self.ticks[:n].tolist())
+        losses = json.dumps(self.losses.tolist())[1:-1].split(", ")
+        columns = (texts[:self.size], self.labels.tolist(), self.true_labels.tolist(),
+                   self.task_ids.tolist(), losses, self.ticks.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(DUMP_LINE % row for row in zip(*columns))
 
@@ -212,7 +219,7 @@ def _available_slots(buffer, selector, current_task):
     ``[all]`` and None otherwise."""
     if selector != "abs":
         return [np.arange(buffer.size)], None
-    current = buffer.task_ids[:buffer.size] == current_task
+    current = buffer.task_ids == current_task
     cur = np.flatnonzero(current)
     return [cur, np.flatnonzero(~current)], len(cur) / buffer.size
 
@@ -278,14 +285,13 @@ def gdumb_update(buffer, features, labels, true_labels, task_ids, losses, rng):
     random entry of a random one of them; any other row is dropped."""
     n = _append(buffer, features, labels, true_labels, task_ids, losses)
     for i in range(n, len(features)):
-        stored = buffer.labels[:buffer.size]
-        counts = np.bincount(stored, minlength=labels[i] + 1)
+        counts = np.bincount(buffer.labels, minlength=labels[i] + 1)
         max_count = counts.max()
         if counts[labels[i]] >= max_count:
             continue
         biggest = np.flatnonzero(counts == max_count)
         victim_class = biggest[int(rng.integers(len(biggest)))]
-        slots = np.flatnonzero(stored == victim_class)
+        slots = np.flatnonzero(buffer.labels == victim_class)
         slot = int(slots[int(rng.integers(len(slots)))])
         buffer.overwrite(slot, features[i], labels[i], true_labels[i],
                          task_ids[i], losses[i])
@@ -295,7 +301,7 @@ def purity(buffer):
     """Fraction of entries whose stored label matches the true label."""
     if len(buffer) == 0:
         raise InputError("buffer is empty")
-    return float((buffer.labels[:buffer.size] == buffer.true_labels[:buffer.size]).mean())
+    return float((buffer.labels == buffer.true_labels).mean())
 
 
 def diversity(buffer, reference_model):
@@ -307,11 +313,10 @@ def diversity(buffer, reference_model):
     """
     if len(buffer) == 0:
         raise InputError("buffer is empty")
-    stored = buffer.labels[:buffer.size]
-    feats = reference_model.penultimate(buffer.features[:buffer.size])
+    feats = reference_model.penultimate(buffer.features)
     overall = 0.0
-    for c in np.flatnonzero(np.bincount(stored)):
-        mask = stored == c
+    for c in np.flatnonzero(np.bincount(buffer.labels)):
+        mask = buffer.labels == c
         if mask.sum() < 2:
             warnings.warn(f"class {int(c)} has < 2 buffer entries; diversity 0")
             continue

@@ -131,8 +131,7 @@ def _cosine_lr(base, step, total):
 
 def buffer_fit(model, buffer, epochs, lr, batch_size=64, *, rng):
     """Plain supervised fine-tuning on a non-empty buffer with cosine-decayed lr."""
-    x = buffer.features[:buffer.size]
-    y = buffer.labels[:buffer.size]
+    x, y = buffer.features, buffer.labels
     for epoch in range(epochs):
         lr_e = _cosine_lr(lr, epoch, epochs)
         order = rng.permutation(buffer.size)
@@ -155,10 +154,10 @@ def _mixmatch_step(model, mixed_x, mixed_t, n_labeled, lambda_u, lr):
 
 
 def _buffer_accuracy(model, buffer, classes=None):
-    pred = model.predict(buffer.features[:buffer.size], classes)
+    pred = model.predict(buffer.features, classes)
     return {
-        "stored_label_accuracy": float((pred == buffer.labels[:buffer.size]).mean()),
-        "true_label_accuracy": float((pred == buffer.true_labels[:buffer.size]).mean()),
+        "stored_label_accuracy": float((pred == buffer.labels).mean()),
+        "true_label_accuracy": float((pred == buffer.true_labels).mean()),
     }
 
 
@@ -166,7 +165,7 @@ def _split_audit(buffer, pure, num_classes):
     """The pure set's precision and recall against the true labels (recall
     None when the buffer holds no clean entry) and its entries per stored
     label."""
-    clean = buffer.labels[:buffer.size] == buffer.true_labels[:buffer.size]
+    clean = buffer.labels == buffer.true_labels
     n_clean, pure_clean = int(clean.sum()), int(clean[pure].sum())
     return {"pure_precision": pure_clean / len(pure),
             "pure_recall": pure_clean / n_clean if n_clean else None,
@@ -232,7 +231,7 @@ def consolidate(model, buffer, cfg, rng, classes=None):
         warnings.warn("buffer too small for a mixture fit; falling back to buffer_fit")
         report["fallback"] = "buffer_fit"
     elif cfg.consolidation == "mixmatch":
-        x, y = buffer.features[:buffer.size], buffer.labels[:buffer.size]
+        x, y = buffer.features, buffer.labels
         fit = fit_gmm_em(per_sample_ce(model.forward(x), y))
         pure, uncertain = split_pure_uncertain(fit, cfg.gmm_threshold)
         report["gmm"] = {"means": fit.means.tolist(), "variances": fit.variances.tolist(),

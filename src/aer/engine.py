@@ -221,10 +221,9 @@ def _end_task(trace, row, buffer, t, num_classes):
     trace["accuracy_row"] = row
     trace["buffer_task_counts"] = trace["buffer_class_counts"] = None
     if buffer is not None:
-        trace["buffer_task_counts"] = np.bincount(
-            buffer.task_ids[:buffer.size], minlength=t + 1).tolist()
+        trace["buffer_task_counts"] = np.bincount(buffer.task_ids, minlength=t + 1).tolist()
         trace["buffer_class_counts"] = np.bincount(
-            buffer.labels[:buffer.size], minlength=num_classes).tolist()
+            buffer.labels, minlength=num_classes).tolist()
 
 
 def _dump_state(model, buffer, out_dir, seed, context):

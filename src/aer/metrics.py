@@ -70,9 +70,8 @@ def separation_trace(buffer, model):
 
     Returns (clean_mean, noisy_mean); an empty partition reports None.
     """
-    logits = model.forward(buffer.features[:buffer.size])
-    losses = per_sample_ce(logits, buffer.labels[:buffer.size])
-    clean = buffer.labels[:buffer.size] == buffer.true_labels[:buffer.size]
+    losses = per_sample_ce(model.forward(buffer.features), buffer.labels)
+    clean = buffer.labels == buffer.true_labels
     clean_mean = float(losses[clean].mean()) if clean.any() else None
     noisy_mean = float(losses[~clean].mean()) if (~clean).any() else None
     return clean_mean, noisy_mean

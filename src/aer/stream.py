@@ -102,8 +102,6 @@ def split_train_test(dataset, test_fraction, seed):
     test_mask = np.zeros(len(dataset), dtype=bool)
     for c in range(dataset.num_classes):
         idx = np.flatnonzero(dataset.labels_true == c)
-        if len(idx) == 0:
-            continue
         n_test = int(test_fraction * len(idx))
         chosen = rng.permutation(idx)[:n_test]
         test_mask[chosen] = True
@@ -300,11 +298,11 @@ def load_csv(path):
     if not feats:
         raise ParseError("line 2: no data rows")
     labels = np.array(labels, dtype=np.intp)
-    # sorted labels after a -1 sentinel: a step above 1 skips a class
-    ordered = np.concatenate(([-1], np.sort(labels)))
-    skip = np.flatnonzero(np.diff(ordered) > 1)
-    if len(skip):
-        raise ParseError(f"{path}: class {ordered[skip[0]] + 1} has no rows")
+    ordered = np.sort(labels)  # deduplicated here: np.unique imports numpy.ma
+    present = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    gap = np.flatnonzero(present != np.arange(len(present)))  # [0]: first class absent
+    if len(gap):
+        raise ParseError(f"{path}: class {gap[0]} has no rows")
     return Dataset(np.array(feats, dtype=np.float64), labels, labels.copy(),
                    int(labels.max()) + 1)
 

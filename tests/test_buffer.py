@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aer.buffer import (MemoryBuffer, _available_slots, _draw_slot,
+from aer.buffer import (MemoryBuffer, _append, _available_slots, _draw_slot,
                         _score_probabilities, diversity, gdumb_update,
                         insertion_candidates, purity, replace_with_candidates,
                         reservoir_update)
@@ -200,19 +200,34 @@ def test_replace_overflow_keeps_last_m_by_draw_order():
     assert sorted(buf.features[:4, 0].tolist()) == admitted[-4:].tolist()
 
 
+def assert_columns_hold_entries(buf):
+    """Every public column is the held entries only, and ``features``
+    rejects a write."""
+    for column in (buf.features, buf.labels, buf.true_labels, buf.task_ids,
+                   buf.losses, buf.ticks):
+        assert len(column) == buf.size
+    with pytest.raises(ValueError, match="read-only"):
+        buf.features[...] = 0.0
+
+
 class RecordingBuffer(MemoryBuffer):
     """MemoryBuffer that records the slot and the features of every
-    overwrite."""
+    overwrite, and checks its columns after every write."""
 
     def __init__(self, capacity, dim):
         super().__init__(capacity, dim)
         self.slots = []
         self.written = []
 
+    def add(self, *entry):
+        super().add(*entry)
+        assert_columns_hold_entries(self)
+
     def overwrite(self, i, *entry):
         self.slots.append(i)
         self.written.append(tuple(entry[0]))
         super().overwrite(i, *entry)
+        assert_columns_hold_entries(self)
 
 
 def reference_draw(buffer, selector, rng, available, current, p_current):
@@ -634,6 +649,35 @@ def test_dump_jsonl_reencodes_rows_written_between_dumps(tmp_path):
     assert_dump_matches_reference(buf, path)  # every row cached
     with pytest.raises(ValueError, match="read-only"):
         buf.features[0] = 1.0  # a write that skips ``_write`` would go stale
+
+
+@pytest.mark.parametrize("policy", ["append", "reservoir", "lass", "abs", "gdumb"])
+def test_columns_hold_the_entries_through_every_policy(tmp_path, policy):
+    """Through each insertion policy's appends and overwrites the columns
+    stay the held entries (``RecordingBuffer``), and the content hash and
+    dump bytes equal those of a twin at capacity ``size`` that holds the
+    same entries by direct ``add`` calls."""
+    rng = np.random.default_rng(["append", "reservoir", "lass", "abs", "gdumb"].index(policy))
+    buf = RecordingBuffer(12, 3)
+    assert_columns_hold_entries(buf)
+    for step in range(8):
+        rows = random_rows(rng, int(rng.integers(0, 8)), 3)
+        if policy == "append":
+            _append(buf, *rows)
+        elif policy in ("lass", "abs"):
+            replace_with_candidates(buf, *rows, policy, step % 3, rng)
+        else:
+            {"reservoir": reservoir_update, "gdumb": gdumb_update}[policy](buf, *rows, rng)
+        twin = MemoryBuffer(max(buf.size, 1), 3)
+        for i in range(buf.size):
+            twin._tick = buf.ticks[i]
+            twin.add(buf.features[i], buf.labels[i], buf.true_labels[i],
+                     buf.task_ids[i], buf.losses[i])
+        assert twin.content_hash() == buf.content_hash()
+        buf.dump_jsonl(tmp_path / "buf.jsonl")
+        twin.dump_jsonl(tmp_path / "twin.jsonl")
+        assert (tmp_path / "buf.jsonl").read_bytes() == (tmp_path / "twin.jsonl").read_bytes()
+    assert len(buf) == 12 and (policy == "append" or buf.slots)
 
 
 @pytest.mark.parametrize("size", [0, 1, 4])

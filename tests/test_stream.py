@@ -457,15 +457,19 @@ def test_csv_not_utf8_line_is_numbered_as_splitlines(tmp_path, raw, line):
         load_csv(path)
 
 
-@pytest.mark.parametrize("labels", [(0, 1, 3), (0, 1, 10**12)], ids=["3", "10**12"])
-def test_csv_label_gap_names_the_first_class_without_rows(tmp_path, labels):
+@pytest.mark.parametrize("labels, gap", [((0, 1, 3), 2), ((0, 1, 10**12), 2),
+                                         ((2**63 - 1, 2**63 - 1), 0)],
+                         ids=["3", "10**12", "2**63-1"])
+def test_csv_label_gap_names_the_first_class_without_rows(tmp_path, labels, gap):
     """``load_csv`` numbers the classes 0 to the largest label, so it names a
-    skipped one; a far label allocates nothing label-sized."""
+    skipped one; a far label allocates nothing label-sized, and the largest
+    ``intp`` label overflows no arithmetic of the gap search."""
     path = tmp_path / "gap.csv"
     path.write_text("f0,label\n" + "".join(f"0.5,{lab}\n" for lab in labels))
     tracemalloc.start()
     try:
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: class 2 has no rows$"):
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(str(path))}: class {gap} has no rows$"):
             load_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

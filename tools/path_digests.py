@@ -19,8 +19,9 @@ non-default value, ``abort`` (learning rate 100) diverges in its second
 task and exits 3, leaving a numerical-abort state dump (``model.ckpt``,
 ``buffer.jsonl``, ``context.json``), as ``abort-invalid`` (learning rate
 1e6, whose matmuls meet invalid values) does; ``csv-gap`` reads a CSV without
-class 2 and ``csv-not-utf8`` one with a byte that is not UTF-8, and both
-exit 4. Each configuration declares the exit code it must end with.
+class 2, ``csv-label-max`` one whose every label is 2**63 - 1 and
+``csv-not-utf8`` one with a byte that is not UTF-8, and all three exit 4.
+Each configuration declares the exit code it must end with.
 
 Run from the repository root, on each side of a change, and compare::
 
@@ -77,6 +78,9 @@ CONFIGS.update({
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
     # labels 0-9 without 2: a data error naming the class
     "csv-gap": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "gap.csv"}, 4),
+    # every label 2**63 - 1: a data error naming class 0
+    "csv-label-max": (["run"], {("dataset", "kind"): "csv",
+                                ("dataset", "path"): "label_max.csv"}, 4),
     # a 0xff byte on the third data line: a data error naming line 4
     "csv-not-utf8": (["run"], {("dataset", "kind"): "csv",
                                ("dataset", "path"): "not_utf8.csv"}, 4),
@@ -129,6 +133,9 @@ def digest(name, command, overrides, expected_code):
         save_csv(data, csv_path)
         save_csv(data.subset(data.labels_true != 2), Path("gap.csv"))
         lines = csv_path.read_bytes().split(b"\n")
+        Path("label_max.csv").write_bytes(b"\n".join(
+            lines[:1] + [line.rsplit(b",", 1)[0] + b",9223372036854775807"
+                         for line in lines[1:-1]] + [b""]))
         lines[3] = lines[3].replace(b",", b",\xff", 1)
         Path("not_utf8.csv").write_bytes(b"\n".join(lines))
     ini, out = Path(f"{name}.ini"), Path(name)
