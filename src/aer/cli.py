@@ -129,7 +129,7 @@ def _run_variants(cfg, variants, out_dir):
     outputs.append(summary_path)
     manifest = {
         "tool_version": __version__,
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "config_hash": config_hash(cfg),
         "variants": [label for label, _ in variants],
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -202,6 +202,10 @@ def main(argv=None):
             return run_command(args)
     except (ConfigError, InputError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array the config sizes does not fit
+        print(f"configuration error: {exc}; sized by run.buffer_capacity, run.batch_size, "
+              "run.hidden, dataset.dims, dataset.per_class, dataset.classes", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -171,16 +171,10 @@ class RunConfig:
                     "leaves no test example")
         return self
 
-    def as_dict(self):
-        d = dataclasses.asdict(self)
-        d["seeds"] = list(self.seeds)
-        d["hidden"] = list(self.hidden)
-        return d
-
 
 def config_hash(cfg, include_seeds=True):
     """sha256 of the canonical JSON form; stable under field reordering."""
-    d = cfg.as_dict()
+    d = dataclasses.asdict(cfg)
     if not include_seeds:
         d.pop("seeds")
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()

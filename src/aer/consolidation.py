@@ -40,12 +40,13 @@ def _responsibilities(x, means, variances, weights):
     return np.exp(logp - norm[:, None]), float(norm.sum())
 
 
-def fit_gmm_em(losses, max_iter=200, tol=1e-6):
+def fit_gmm_em(losses):
     """Fit a two-component 1-D Gaussian mixture by EM.
 
     Initialised from a median split (lower half vs upper half); stops when
-    the log-likelihood improvement drops below ``tol``. Variances are
-    floored at 1e-6 with a warning; components come back ordered by mean.
+    the log-likelihood improvement drops below 1e-6, or after 200
+    iterations. Variances are floored at 1e-6 with a warning; components
+    come back ordered by mean.
     """
     x = np.asarray(losses, dtype=np.float64)
     if x.ndim != 1 or len(x) < 4:
@@ -58,19 +59,16 @@ def fit_gmm_em(losses, max_iter=200, tol=1e-6):
     means = np.array([lo.mean(), hi.mean()])
     variances = np.array([lo.var(), hi.var()])
     weights = np.array([len(lo) / len(x), len(hi) / len(x)])
-    floored = variances < VARIANCE_FLOOR
-    if np.any(floored):
+    if np.any(variances < VARIANCE_FLOOR):
         warnings.warn("near-zero mixture variance floored at 1e-6")
     variances = np.maximum(variances, VARIANCE_FLOOR)
 
     ll_trace = []
-    prev = None
-    for _ in range(max_iter):
+    for _ in range(200):
         resp, ll = _responsibilities(x, means, variances, weights)
         ll_trace.append(ll)
-        if prev is not None and ll - prev < tol:
+        if len(ll_trace) > 1 and ll - ll_trace[-2] < 1e-6:
             break
-        prev = ll
         mass = resp.sum(axis=0)
         for k in range(2):
             if mass[k] < 1e-12:

@@ -138,8 +138,8 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
     offered, writes and evicts. GDumb's stream model never trains, so its
     trace leaves the stream and buffer loss columns empty.
     """
-    task_classes = stream.task_classes(t)
-    seen_sorted = stream.seen_classes(t)
+    smask = stream.task_classes(t) if spec.ace else None
+    rmask = stream.seen_classes(t) if spec.ace else None
     epochs = cfg.epochs_per_task
     frozen = spec.alternate and epochs > 1
     if spec.alternate and epochs == 1:
@@ -165,13 +165,11 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                 gdumb_update(buffer, batch.features, batch.labels, batch.true_labels,
                              np.full(len(batch), t), np.zeros(len(batch)), rngs.buffer)
                 continue
-            smask = task_classes if spec.ace else None
             logits, cache = model.forward(batch.features, cache=True)
             losses, dlogits = per_sample_ce(logits, batch.labels, smask, gradient=True)
             grads = model.backward(cache, dlogits)
             if not forgetting and spec.policy is not None and len(buffer):
                 replay = replay_batch(buffer, cfg.batch_size, rngs.replay)
-                rmask = seen_sorted if spec.ace else None
                 rlogits, rcache = model.forward(replay.features, cache=True)
                 grads += model.backward(rcache, ce_gradient(rlogits, replay.labels, rmask))
             loss_sum += float(losses.sum())
@@ -181,14 +179,13 @@ def train_task(model, stream, buffer, cfg, spec, t, rngs):
                     rows = insertion_candidates(losses, cfg.alpha)
                 else:
                     rows = np.arange(len(batch))
-                if len(rows):
-                    cand = (buffer, batch.features[rows], batch.labels[rows],
-                            batch.true_labels[rows], np.full(len(rows), t), losses[rows])
-                    if spec.policy == "reservoir":
-                        reservoir_update(*cand, rngs.buffer)
-                    else:
-                        replace_with_candidates(*cand, spec.policy, t, rngs.buffer,
-                                                None if forgetting else model)
+                cand = (buffer, batch.features[rows], batch.labels[rows],
+                        batch.true_labels[rows], np.full(len(rows), t), losses[rows])
+                if spec.policy == "reservoir":
+                    reservoir_update(*cand, rngs.buffer)
+                else:
+                    replace_with_candidates(*cand, spec.policy, t, rngs.buffer,
+                                            None if forgetting else model)
             model.apply_step(grads)
         trace = {"task": t, "epoch": e, "mode": "forgetting" if forgetting else "learning",
                  "stream_loss": loss_sum / loss_count if loss_count else None,

@@ -186,11 +186,14 @@ def _mask_columns_memo(num_classes, class_mask):
     return cols, allowed
 
 
-def _checked_ce_inputs(logits, labels, class_mask):
-    """(float64 logits, intp labels, mask columns) of a masked-CE call.
+def _masked_ce(logits, labels, class_mask, loss=True, gradient=True):
+    """``(losses, grad)`` of the masked CE, each None unless asked for.
 
     Every label must lie inside the class mask, or inside 0..C-1 without
     one: outside it the masked softmax assigns the label no probability.
+    One masked softmax stage serves both: the columns ``logits[:, cols]``
+    are gathered once, and one ``exp`` and one row sum give the loss
+    ``peak + log(sum) - logit[label]`` and the probabilities ``exp / sum``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -203,17 +206,6 @@ def _checked_ce_inputs(logits, labels, class_mask):
             raise InputError("label outside 0..C-1")
         bad = labels[~np.isin(labels, cols)][0]
         raise InputError(f"label {bad} outside class mask {cols.tolist()}")
-    return logits, labels, cols
-
-
-def _masked_ce(logits, labels, class_mask, loss=True, gradient=True):
-    """``(losses, grad)`` of the masked CE, each None unless asked for.
-
-    One masked softmax stage serves both: the columns ``logits[:, cols]``
-    are gathered once, and one ``exp`` and one row sum give the loss
-    ``peak + log(sum) - logit[label]`` and the probabilities ``exp / sum``.
-    """
-    logits, labels, cols = _checked_ce_inputs(logits, labels, class_mask)
     # ``logits[:, cols]`` is the fancy-index copy even without a mask: its
     # memory layout fixes the rounding of the row sums
     sub = logits[:, cols]

@@ -170,6 +170,22 @@ def test_numerical_abort_prints_no_invalid_value_warning(tmp_path):
     assert proc.stderr.splitlines()[-1].startswith("numerical abort: ")
 
 
+def test_buffer_too_large_to_allocate_exits_2_naming_the_size_options(tmp_path):
+    """A buffer of 10**15 entries needs over 100 PiB, beyond any address
+    space, so its allocation fails at once and touches no memory: a
+    configuration error that names the options sizing the arrays."""
+    (tmp_path / "huge.ini").write_text(
+        TINY.replace("buffer_capacity = 16", f"buffer_capacity = {10**15}"))
+    env = dict(os.environ, PYTHONPATH=str(Path(aer.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "aer.cli", "run", "--config",
+                           "huge.ini", "--out", "out"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"configuration error: Unable to allocate .*; sized by "
+                        r"run\.buffer_capacity, .*dataset\.classes\n", proc.stderr)
+
+
 def test_sweep_alpha_one_row_per_alpha(tiny_config, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep-alpha", "--config", str(tiny_config),

@@ -426,6 +426,17 @@ def test_noise_free_run_counts_no_noisy_rows(method):
     assert sum(t["written"] for t in rec.traces) > 0
 
 
+@pytest.mark.parametrize("method", ["er_ace_alpha", "er_ace_abs", "aer_abs"])
+def test_closed_gate_admits_nothing(method):
+    """At alpha 100 the gate hands every batch's insertion policy (reservoir
+    or ABS) no candidate rows: the buffer stays empty, every audit column
+    reads 0 in every epoch and the run has no final purity."""
+    rec, buf = audited_run(tiny_cfg(method=method, alpha=100.0))
+    assert len(buf) == buf.n_seen == 0
+    assert all(t[c] == 0 for t in rec.traces for c in engine.AUDIT_COLUMNS)
+    assert rec.final_purity is None
+
+
 @pytest.mark.parametrize("method", ["aer_abs", "aer_lass", "er_ace_abs"])
 def test_every_refresh_is_followed_by_a_victim_draw(method, monkeypatch):
     """LASS/ABS rescore the buffer only where a victim draw reads the scores

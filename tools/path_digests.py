@@ -12,7 +12,8 @@ Together the configurations cover the paths the benchmark workloads leave
 out: every method, both consolidation modes and mixmatch's fallback to
 ``buffer_fit`` on a buffer too small to split, single-epoch and odd-epoch
 alternation, a single task (whose summary leaves the ``ff`` columns
-empty), ``sweep-alpha``, ``ablate``, CSV datasets, symmetric and
+empty), ``sweep-alpha``, ``ablate`` (``gate-closed`` at alpha 100, whose
+gate admits nothing), the ``--seeds`` flag, CSV datasets, symmetric and
 asymmetric noise over 2- and 5-class tasks, and reservoir/GDumb/ABS
 buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
 non-default value, ``abort`` (learning rate 100) diverges in its second
@@ -75,6 +76,10 @@ CONFIGS.update({
     # capacity-many admitted rows draw victims
     "abs-buffer2": (["run"], {("run", "buffer_capacity"): "2", ("run", "alpha"): "0"}, 0),
     "ablate": (["ablate"], {}, 0),
+    # alpha 100: every gated rung offers no candidates in any batch and ends
+    # with an empty buffer
+    "gate-closed": (["ablate"], {("run", "alpha"): "100"}, 0),
+    "seeds-flag": (["run", "--seeds", "1,0"], {}, 0),
     "csv": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "data.csv"}, 0),
     # labels 0-9 without 2: a data error naming the class
     "csv-gap": (["run"], {("dataset", "kind"): "csv", ("dataset", "path"): "gap.csv"}, 4),
