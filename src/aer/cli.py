@@ -85,7 +85,6 @@ def _resolve_out_dir(arg_out, command, variants):
 def _run_variants(cfg, variants, out_dir):
     """Execute (label, cfg) variants, each running the method its
     ``cfg.method`` names; write all artifacts and return the summary rows."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         reference = train_reference(cfg)
     except NumericalError:
@@ -95,38 +94,35 @@ def _run_variants(cfg, variants, out_dir):
         reference = None
     rows = []
     outputs = []
+
+    def output(path):
+        """``path``, its directory made and its name recorded for the manifest."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        outputs.append(path)
+        return path
+
     for label, vcfg in variants:
         vdir = out_dir if len(variants) == 1 else out_dir / label
-        vdir.mkdir(parents=True, exist_ok=True)
         records = []
         for seed in vcfg.seeds:
             # called only inside this iteration's run_single
             def dump_buffer(task, model, buffer):
                 if buffer is not None and len(buffer):
-                    path = vdir / f"buffer_task{task}_seed{seed}.jsonl"
-                    buffer.dump_jsonl(path)
-                    outputs.append(path)
+                    buffer.dump_jsonl(output(vdir / f"buffer_task{task}_seed{seed}.jsonl"))
 
             rec = run_single(vcfg, seed, reference_model=reference,
                              on_task_end=dump_buffer, dump_dir=vdir)
             records.append(rec)
-            tpath = vdir / f"trace_seed{seed}.csv"
-            write_trace_csv(rec.traces, tpath)
-            jpath = vdir / f"trace_seed{seed}.jsonl"
-            write_trace_jsonl(rec.traces, jpath)
-            outputs.extend([tpath, jpath])
+            write_trace_csv(rec.traces, output(vdir / f"trace_seed{seed}.csv"))
+            write_trace_jsonl(rec.traces, output(vdir / f"trace_seed{seed}.jsonl"))
             if rec.consolidation_reports:
-                cpath = vdir / f"consolidation_seed{seed}.json"
-                cpath.write_text(json.dumps(rec.consolidation_reports, sort_keys=True))
-                outputs.append(cpath)
+                output(vdir / f"consolidation_seed{seed}.json").write_text(
+                    json.dumps(rec.consolidation_reports, sort_keys=True))
         if records[0].noise_report is not None:
-            npath = vdir / "noise_manifest.json"
-            npath.write_text(json.dumps(records[0].noise_report, sort_keys=True))
-            outputs.append(npath)
+            output(vdir / "noise_manifest.json").write_text(
+                json.dumps(records[0].noise_report, sort_keys=True))
         rows.append(summary_row(label, vcfg, records))
-    summary_path = out_dir / "summary.csv"
-    write_summary_csv(rows, summary_path)
-    outputs.append(summary_path)
+    write_summary_csv(rows, output(out_dir / "summary.csv"))
     manifest = {
         "tool_version": __version__,
         "config": dataclasses.asdict(cfg),

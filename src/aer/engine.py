@@ -226,10 +226,8 @@ def _end_task(trace, row, buffer, t, num_classes):
 def _dump_state(model, buffer, out_dir, seed, context):
     import json
     from pathlib import Path
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    dump = path / f"abort_state_seed{seed}"
-    dump.mkdir(exist_ok=True)
+    dump = Path(out_dir) / f"abort_state_seed{seed}"
+    dump.mkdir(parents=True, exist_ok=True)
     (dump / "model.ckpt").write_bytes(save_checkpoint(model))
     if buffer is not None and len(buffer):
         buffer.dump_jsonl(dump / "buffer.jsonl")
@@ -278,15 +276,13 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
                 report = consolidate(model, buffer, cfg, rngs.consolidation, seen)
                 report["task"] = t
                 record.consolidation_reports.append(report)
-            eval_model = model
             if spec.policy == "gdumb":
-                eval_model = MLP(data.train.dim, data.train.num_classes,
-                                 cfg.hidden, cfg.gdumb_fit_lr, cfg.momentum,
-                                 seed=[seed, 24, t])
-                buffer_fit(eval_model, buffer, cfg.gdumb_fit_epochs,
+                model = MLP(data.train.dim, data.train.num_classes,
+                            cfg.hidden, cfg.gdumb_fit_lr, cfg.momentum,
+                            seed=[seed, 24, t])
+                buffer_fit(model, buffer, cfg.gdumb_fit_epochs,
                            cfg.gdumb_fit_lr, rng=rngs.consolidation)
-            row = [_accuracy(eval_model, *data.test_sets[j], seen)
-                   for j in range(t + 1)]
+            row = [_accuracy(model, *data.test_sets[j], seen) for j in range(t + 1)]
         except NumericalError as exc:
             if dump_dir is not None:
                 dump = _dump_state(model, buffer, dump_dir, seed,
@@ -297,7 +293,7 @@ def run_single(cfg, seed, reference_model=None, on_task_end=None, dump_dir=None)
             record.matrix.set_entry(j, t, acc)
         _end_task(record.traces[-1], row, buffer, t, data.train.num_classes)
         if on_task_end is not None:
-            on_task_end(t, eval_model, buffer)
+            on_task_end(t, model, buffer)
     if spec.policy is not None and len(buffer):
         record.final_purity = buffer_mod.purity(buffer)
         if reference_model is not None:

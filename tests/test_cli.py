@@ -184,6 +184,20 @@ def test_buffer_too_large_to_allocate_exits_2_naming_the_size_options(tmp_path):
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(r"configuration error: Unable to allocate .*; sized by "
                         r"run\.buffer_capacity, .*dataset\.classes\n", proc.stderr)
+    assert not (tmp_path / "out").exists()  # the allocation precedes every write
+
+
+@pytest.mark.parametrize("command, blocked", [("run", ""), ("ablate", "/er")])
+def test_out_naming_a_file_exits_4_at_the_first_write(tiny_config, tmp_path, capsys,
+                                                      command, blocked):
+    """An ``--out`` that names a file fails when the first output is
+    written, as a data error naming that path; the file is left as it was."""
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main([command, "--config", str(tiny_config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno ") and f"'{out}{blocked}'" in err, err
+    assert out.read_text() == "keep"
 
 
 def test_sweep_alpha_one_row_per_alpha(tiny_config, tmp_path):
@@ -538,6 +552,7 @@ def test_far_label_gap_exits_4_before_the_split(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == "data error: data.csv: class 2 has no rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tasks", [1, 2])

@@ -294,13 +294,23 @@ def test_abs_keeps_every_past_task(seed):
     assert all(counts.get(t, 0) >= floor for t in range(cfg.tasks)), counts
 
 
-def test_numerical_abort_writes_state_dump(tmp_path):
-    cfg = tiny_cfg(lr=1e12)
+@pytest.mark.parametrize("overrides", [dict(method="aer_abs", lr=1e12),
+                                       dict(method="gdumb", gdumb_fit_lr=1e12)],
+                         ids=["aer_abs", "gdumb"])
+def test_numerical_abort_writes_state_dump(tmp_path, overrides):
+    """The dump holds the model that diverged: the stream model, or the
+    model GDumb fits on its buffer, never the untrained stream model."""
+    cfg = tiny_cfg(**overrides)
     with pytest.raises(NumericalError, match="state dump"):
         run_single(cfg, 0, dump_dir=tmp_path)
     dumps = list(tmp_path.glob("abort_state_seed0/*"))
     names = {p.name for p in dumps}
     assert "model.ckpt" in names and "context.json" in names
+    train = prepare_data(cfg, 0).train
+    untrained = MLP(train.dim, train.num_classes, cfg.hidden, cfg.lr, cfg.momentum,
+                    seed=[0, 20])
+    assert (tmp_path / "abort_state_seed0" / "model.ckpt").read_bytes() != \
+        save_checkpoint(untrained)
 
 
 def test_consolidation_requires_buffer_method():

@@ -19,7 +19,10 @@ buffers smaller than a batch; ``all-keys`` sets every INI key to a valid
 non-default value, ``abort`` (learning rate 100) diverges in its second
 task and exits 3, leaving a numerical-abort state dump (``model.ckpt``,
 ``buffer.jsonl``, ``context.json``), as ``abort-invalid`` (learning rate
-1e6, whose matmuls meet invalid values) does; ``csv-gap`` reads a CSV without
+1e6, whose matmuls meet invalid values) does, and as ``ablate-abort``
+(``ablate`` at learning rate 1e12, whose dump is the first write into
+``er/``) and ``gdumb-abort`` (GDumb's buffer fit at learning rate 1e6, whose
+dump holds the model being fit) do; ``csv-gap`` reads a CSV without
 class 2, ``csv-label-max`` one whose every label is 2**63 - 1 and
 ``csv-not-utf8`` one with a byte that is not UTF-8, and all three exit 4.
 Each configuration declares the exit code it must end with.
@@ -117,6 +120,10 @@ CONFIGS.update({
     "abort": (["run"], {("run", "lr"): "100"}, 3),
     # diverges to NaN: an invalid value in a matmul, then the numerical abort
     "abort-invalid": (["run"], {("run", "lr"): "1e6"}, 3),
+    # the first variant aborts before any write, so its state dump makes out/er/
+    "ablate-abort": (["ablate"], {("run", "lr"): "1e12"}, 3),
+    # GDumb's fit on the buffer diverges: the dump holds the model being fit
+    "gdumb-abort": (["run"], {("run", "method"): "gdumb", ("run", "gdumb_fit_lr"): "1e6"}, 3),
 })
 
 
